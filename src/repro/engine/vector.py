@@ -1,9 +1,9 @@
-"""The vectorized column-replay engine (stage 2).
+"""The op-stream replay engine (stage 2).
 
-Replays a mix over a :class:`~repro.core.maya_cache.MayaCache` in two
-stages.  Stage 1 (:mod:`repro.engine.opstream`) pre-simulates each
-core's private levels and compresses the trace into per-access latency
-classes plus the ordered LLC/DRAM op stream.  Stage 2 - this module -
+Replays a mix over a shared LLC in two stages.  Stage 1
+(:mod:`repro.engine.opstream`) pre-simulates each core's private levels
+and compresses the trace into per-access latency classes plus the
+ordered LLC/DRAM op stream.  Stage 2 - this module -
 replays *only the op-bearing accesses* through a k-way merge identical
 in ordering to the scalar drive loop, advancing each core's clock over
 op-free runs with precomputed exact float sums.
@@ -43,10 +43,18 @@ epoch-segmentation model calls for.  Hazard counts are surfaced as
 ``segments`` / ``fallback_ops`` in :attr:`VectorReplay.info` for bench
 provenance.
 
+Two loops share that substrate.  :meth:`VectorReplay.phase` is the
+numpy-assisted vector engine with the inlined Maya kernel above, so it
+runs only on conforming Maya configurations.
+:meth:`VectorReplay.phase_scalar` executes every op through the LLC's
+own (usually config-specialized) ``access_fast`` step, so it serves
+any LLC design that has one - baseline, Mirage and Maya alike.
+
 Engine selection is resolved by :func:`repro.engine.resolve_engine`;
 ``create_vector_replay`` returns ``(None, reason)`` whenever any
-precondition fails, and ``run_mix`` then transparently falls back to
-the scalar engine (which remains the default and the oracle).
+precondition of the requested loop fails, and ``run_mix`` then
+transparently falls back to the per-access drive (which remains the
+default for unsupported configurations and the oracle).
 """
 
 from __future__ import annotations
@@ -74,9 +82,21 @@ _M64 = 0xFFFFFFFFFFFFFFFF
 #: Packed replay units shared across trials (see
 #: :meth:`VectorReplay._get_runs`): entries hold only immutable ints
 #: and tuples derived from op-stream content, never live cache state.
-#: FIFO-bounded; a steady bench loop needs cores x phases entries.
+#: ``_OPS_CACHE`` holds the design-independent op records (keyed on
+#: op-stream content, core and DRAM geometry), so every LLC design
+#: replaying the same mix shares one copy; ``_RUNS_CACHE`` adds the
+#: per-design clock advances (keyed on timing too) around them.  Both
+#: are FIFO-bounded; a steady bench loop needs cores x phases entries
+#: per design.
+_OPS_CACHE: dict = {}
 _RUNS_CACHE: dict = {}
 _RUNS_CACHE_MAX = 64
+
+
+def _cache_put(cache: dict, key, value) -> None:
+    if len(cache) >= _RUNS_CACHE_MAX:
+        del cache[next(iter(cache))]
+    cache[key] = value
 
 
 def _dyadic_grid_bits(value: float) -> Optional[int]:
@@ -140,7 +160,7 @@ class VectorReplay:
 
     def __init__(
         self,
-        llc: MayaCache,
+        llc,
         dram,
         cores: int,
         base_cpi: float,
@@ -187,24 +207,19 @@ class VectorReplay:
         # Per-core precomputed columns over the whole trace: exclusive
         # prefix sums of static clock advances (grid units) and of
         # instruction gaps, op-bearing access indices, op offsets, and
-        # the op kind/address streams; plus a content key identifying
-        # everything the packed-run cache entries are derived from.
+        # the op kind/address streams; plus content keys identifying
+        # everything the packed-run cache entries are derived from: the
+        # op records (op-stream content, core, DRAM geometry) and the
+        # clock advances (that plus the trace gaps and timing grid).
         self._ext = []
         self._gext = []
         self._op_idx = []
         self._op_off = []
         self._kinds_np = []
         self._oaddrs_np = []
-        self._ckey = []
-        timing_fp = (
-            cpi_i,
-            lat_i.tobytes(),
-            grid,
-            self._rh_i,
-            self._rm_i,
-            dram._lines_per_row_shift,
-            dram._banks,
-        )
+        self._okey = []
+        self._tkey = []
+        timing_fp = (cpi_i, lat_i.tobytes(), grid)
         for core, (trace, stream) in enumerate(zip(traces, streams)):
             gaps_np = trace.columns_numpy()[2]
             n = len(gaps_np)
@@ -225,16 +240,17 @@ class VectorReplay:
             self._op_off.append(op_off)
             self._kinds_np.append(kinds_np)
             self._oaddrs_np.append(oaddrs_np)
-            self._ckey.append(
-                (
-                    bytes(trace.gaps),
-                    bytes(stream.lat_class),
-                    bytes(stream.op_counts),
-                    bytes(stream.op_addrs),
-                    bytes(stream.op_kinds),
-                    core,
-                    timing_fp,
-                )
+            okey = (
+                bytes(stream.op_counts),
+                bytes(stream.op_addrs),
+                bytes(stream.op_kinds),
+                core,
+                dram._lines_per_row_shift,
+                dram._banks,
+            )
+            self._okey.append(okey)
+            self._tkey.append(
+                (okey, bytes(trace.gaps), bytes(stream.lat_class), timing_fp)
             )
 
     # -- batch set-index precompute ---------------------------------------
@@ -294,11 +310,13 @@ class VectorReplay:
 
         Everything here is a pure function of the op stream, the core
         id, and the timing/DRAM constants - all captured in the content
-        key - so entries are shared across trials through a bounded
-        module-level cache; a bench loop builds them once and replays
-        them for free afterwards.
+        keys - so entries are shared across trials through bounded
+        module-level caches; a bench loop builds them once and replays
+        them for free afterwards.  The op records do not depend on the
+        timing constants, so designs with different lookup latencies
+        replaying the same mix share them.
         """
-        key = (self._ckey[c], start, end)
+        key = (self._tkey[c], start, end)
         entry = _RUNS_CACHE.get(key)
         if entry is not None:
             self.info["runs_cache_hits"] += 1
@@ -316,29 +334,28 @@ class VectorReplay:
             bounds[-1] = end
             advs = (ext[bounds[1:]] - ext[bounds[:-1]]).tolist()
             lead = int(ext[k[0]] - ext[start])
-            off = self._op_off[c]
-            rel0 = int(off[k[0]])
-            rstarts = (off[k] - rel0).tolist()
-            rends = (off[k + 1] - rel0).tolist()
-            flat_hi = int(off[int(k[-1]) + 1])
-            oa = self._oaddrs_np[c][rel0:flat_hi]
-            kinds = self._kinds_np[c][rel0:flat_hi].tolist()
-            a_list = oa.tolist()
-            oa_i = oa.astype(np.int64)
-            key64s = ((oa_i << 16) | c).tolist()
-            rows_np = oa_i >> self._dram._lines_per_row_shift
-            rows = rows_np.tolist()
-            banks = (rows_np % self._dram._banks).tolist()
-            mkeys = [(a, c) for a in a_list]
-            recs = list(zip(kinds, a_list, key64s, mkeys, rows, banks))
-            entry = (
-                lead,
-                advs,
-                [tuple(recs[s:e]) for s, e in zip(rstarts, rends)],
-            )
-        if len(_RUNS_CACHE) >= _RUNS_CACHE_MAX:
-            del _RUNS_CACHE[next(iter(_RUNS_CACHE))]
-        _RUNS_CACHE[key] = entry
+            okey = (self._okey[c], start, end)
+            opruns = _OPS_CACHE.get(okey)
+            if opruns is None:
+                off = self._op_off[c]
+                rel0 = int(off[k[0]])
+                rstarts = (off[k] - rel0).tolist()
+                rends = (off[k + 1] - rel0).tolist()
+                flat_hi = int(off[int(k[-1]) + 1])
+                oa = self._oaddrs_np[c][rel0:flat_hi]
+                kinds = self._kinds_np[c][rel0:flat_hi].tolist()
+                a_list = oa.tolist()
+                oa_i = oa.astype(np.int64)
+                key64s = ((oa_i << 16) | c).tolist()
+                rows_np = oa_i >> self._dram._lines_per_row_shift
+                rows = rows_np.tolist()
+                banks = (rows_np % self._dram._banks).tolist()
+                mkeys = [(a, c) for a in a_list]
+                recs = list(zip(kinds, a_list, key64s, mkeys, rows, banks))
+                opruns = [tuple(recs[s:e]) for s, e in zip(rstarts, rends)]
+                _cache_put(_OPS_CACHE, okey, opruns)
+            entry = (lead, advs, opruns)
+        _cache_put(_RUNS_CACHE, key, entry)
         self.info["runs_cache_builds"] += 1
         return entry
 
@@ -396,8 +413,9 @@ class VectorReplay:
         config-specialized generated step when
         :mod:`repro.engine.specialize` installed one.  Hazards (SAE,
         rekey, memo-capacity evictions) need no windowing here: there
-        is no batched state to invalidate.  ``run_mix`` uses this loop
-        for the *scalar* engine when specialization is on, so the
+        is no batched state to invalidate, and nothing here is specific
+        to one LLC design.  ``run_mix`` uses this loop for the *scalar*
+        engine whenever specialization installed an LLC step, so the
         serial LLC state machine runs specialized end to end while the
         private levels replay from the cached op streams.
         """
@@ -994,16 +1012,18 @@ def create_vector_replay(
 ) -> Tuple[Optional[VectorReplay], str]:
     """Build a :class:`VectorReplay`, or explain why it cannot run.
 
-    Every gate below names a precondition the replay kernel relies on;
+    Every gate below names a precondition the replay relies on;
     failing any of them returns ``(None, reason)`` and ``run_mix``
-    falls back to the scalar engine, recording the reason in
-    ``MixResult.engine_info``.
+    falls back to the per-access drive, recording the reason in
+    ``MixResult.engine_info`` (vector) or ``specialize_info`` (scalar).
 
-    ``scalar_ops=True`` builds the same replay (same gates, same op
-    streams, same integer clock grid) but marks it for the
+    ``scalar_ops=True`` builds the same replay (same op streams, same
+    integer clock grid) but marks it for the
     :meth:`VectorReplay.phase_scalar` loop: the scalar engine's
     specialized drive, where every op executes through the live
-    ``llc.access_fast`` step.
+    ``llc.access_fast`` step.  That loop only needs the LLC to have
+    such a step, so the Maya-kernel gates apply to the vector loop
+    alone.
     """
     from ..common.rng import derive_seed
 
@@ -1013,15 +1033,19 @@ def create_vector_replay(
         return None, "big-endian host (packed columns are little-endian)"
     if model_bandwidth:
         return None, "model_bandwidth=True needs per-access DRAM clocks"
-    if type(llc) is not MayaCache:
-        return None, f"{type(llc).__name__} does not support vector replay"
-    if not getattr(llc, "supports_vector_replay", False):
-        return None, f"{type(llc).__name__} does not advertise vector-replay support"
-    if not llc._fast_pick:
-        return None, "requires the load-aware two-skew install path"
-    if not llc._global_tag_eviction:
-        return None, "global tag eviction disabled (ablation config)"
-    if llc._on_sae == "raise":
+    if scalar_ops:
+        if not hasattr(llc, "access_fast"):
+            return None, f"{type(llc).__name__} has no access_fast step"
+    else:
+        if type(llc) is not MayaCache:
+            return None, f"{type(llc).__name__} does not support vector replay"
+        if not getattr(llc, "supports_vector_replay", False):
+            return None, f"{type(llc).__name__} does not advertise vector-replay support"
+        if not llc._fast_pick:
+            return None, "requires the load-aware two-skew install path"
+        if not llc._global_tag_eviction:
+            return None, "global tag eviction disabled (ablation config)"
+    if getattr(llc, "_on_sae", None) == "raise":
         return None, "on_sae='raise' aborts mid-replay with partial clocks"
     if any(t is not None for t in hierarchy.tlbs):
         return None, "TLB modelling enabled"
@@ -1081,5 +1105,6 @@ def create_vector_replay(
         replay.info["scalar_ops"] = 0
         del replay.info["segments"]
         del replay.info["fallback_ops"]
-    replay.precompute_indices()
+    if isinstance(llc, MayaCache):
+        replay.precompute_indices()
     return replay, "ok"

@@ -13,8 +13,9 @@ Two drive loops produce bit-identical results:
 * the **compiled fast path** (default) replays
   :class:`~repro.trace.compiled.CompiledTrace` packed columns with
   plain integer indexing - no generator resumes, no per-access object
-  construction - and can pre-warm a randomized LLC's mapping cache via
-  ``bulk_map`` before the timed loop (opt-in; see ``run_mix``);
+  construction - either access by access through the hierarchy or,
+  when specialization installed an LLC step, as a replay of the
+  cached per-core op streams (:mod:`repro.engine.vector`);
 * the **generator path** (``compiled=False``) pulls
   :class:`~repro.trace.record.MemoryAccess` records out of the
   synthetic generators one at a time.  It is the oracle:
@@ -192,7 +193,6 @@ def run_mix(
     model_bandwidth: bool = False,
     compiled: Optional[bool] = None,
     trace_cache: Optional[bool] = None,
-    prewarm_mappings: bool = False,
     pretranslate: Optional[bool] = None,
     translate_jobs: Optional[int] = None,
     engine: Optional[str] = None,
@@ -214,18 +214,6 @@ def run_mix(
     ``REPRO_TRACE_CACHE`` environment variable; ``False`` recompiles
     every call).
 
-    ``prewarm_mappings=True`` (compiled path only) pre-warms a
-    randomized LLC's mapping cache via ``bulk_map`` with every
-    ``(line, SDID)`` pair in the compiled traces before the timed
-    loops.  It never changes results or mapping-cache counters (see
-    :meth:`repro.crypto.randomizer.IndexRandomizer.bulk_map`) but it
-    is off by default because it measures as a net slowdown in every
-    tested regime: the memo already dedups cipher work below its
-    capacity, and above it the private cache levels filter so many
-    accesses that the trace's unique-line count exceeds the number of
-    cipher misses the LLC actually takes - batching then does strictly
-    more cipher work than it saves.
-
     ``pretranslate`` (compiled path only) is the ahead-of-time index
     translation pipeline: every distinct line each compiled trace can
     touch is pushed through the randomizer's batch cipher kernel and
@@ -235,11 +223,10 @@ def run_mix(
     skip cipher work entirely).  ``None`` auto-enables it exactly when
     it pays: the LLC exposes an ``index_randomizer`` running
     ``algorithm="prince"``, whose per-miss cipher pass dominates a cold
-    trial (the splitmix mixer is cheaper than the table consult, hence
-    the prewarm caveat above).  Results and memo counters are
-    unchanged; from the first ``rekey()`` (e.g. an SAE-triggered remap)
-    the side table is dropped with the old keys and lookups fall back
-    to the live randomizer.  ``translate_jobs`` caps the translation
+    trial (the splitmix mixer is cheaper than the table consult).
+    Results and memo counters are unchanged; from the first ``rekey()``
+    (e.g. an SAE-triggered remap) the side table is dropped with the
+    old keys and lookups fall back to the live randomizer.  ``translate_jobs`` caps the translation
     process pool (``1`` forces serial).  ``trace_cache=False`` also
     bypasses the translated-index cache.
 
@@ -325,14 +312,6 @@ def run_mix(
                     jobs=translate_jobs,
                 )
                 randomizer.load_packed(translated.line_addrs, translated.columns, sdid=core_id)
-        # Pre-warm randomized designs' mapping caches: every (line, sdid)
-        # pair the replay can touch is encrypted in one tight pass
-        # before the timed loops (the hierarchy passes sdid=core_id).
-        if prewarm_mappings:
-            bulk_map = getattr(llc, "bulk_map", None)
-            if bulk_map is not None:
-                for core_id, trace in enumerate(traces):
-                    bulk_map(trace.unique_lines(core_id * region), sdid=core_id)
         positions = [0] * cores
 
         def phase(per_core: int) -> None:
@@ -357,14 +336,16 @@ def run_mix(
                 engine_used = "vector"
                 engine_info = replay.info
                 phase = replay.phase
-        elif specialization is not None and specialize_info.get("llc") == "MayaCache":
+        elif specialization is not None and specialize_info.get("llc") is not None:
             # Specialized scalar drive: replay the cached op streams
             # with *every* op executed through the generated scalar
             # step (``phase_scalar`` - no batch kernels, no hazard
             # windows), so the serial LLC state machine runs the
             # specialized code end to end while the private levels come
-            # from the pre-simulated streams.  Same gates as the vector
-            # engine; when any fail, the plain per-access drive keeps
+            # from the pre-simulated streams.  Any design with an
+            # ``access_fast`` step qualifies; the gates left are the
+            # ones the op streams and the integer clock grid cannot
+            # model.  When any fails, the plain per-access drive keeps
             # the specialized steps and the reason lands in
             # ``specialize_info``.
             from ..engine.vector import create_vector_replay

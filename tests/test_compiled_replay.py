@@ -5,8 +5,7 @@ compiled packed columns and the original generator path.  The
 generator path is the oracle: for every design and stream shape the
 compiled path must produce *bit-identical* statistics (the raw
 ``CacheStats`` counters, not just summary figures) and identical
-per-core instruction/cycle counts, with and without mapping-cache
-pre-warming.
+per-core instruction/cycle counts.
 """
 
 import pytest
@@ -19,14 +18,11 @@ from repro.llc.mirage import MirageCache
 from repro.trace.mixes import homogeneous
 
 
-def run_pair(make_llc, mix, system, *, prewarm=False, **kwargs):
+def run_pair(make_llc, mix, system, **kwargs):
     """Run both drive loops on fresh LLCs; return their (llc, result)s."""
     llc_gen, llc_cmp = make_llc(), make_llc()
     r_gen = run_mix(llc_gen, mix, system, compiled=False, **kwargs)
-    r_cmp = run_mix(
-        llc_cmp, mix, system,
-        compiled=True, trace_cache=False, prewarm_mappings=prewarm, **kwargs,
-    )
+    r_cmp = run_mix(llc_cmp, mix, system, compiled=True, trace_cache=False, **kwargs)
     return (llc_gen, r_gen), (llc_cmp, r_cmp)
 
 
@@ -128,33 +124,6 @@ class TestStreamShapes:
         assert_bit_identical(a, b)
 
 
-class TestPrewarm:
-    def test_forced_prewarm_is_invisible_in_stats(self, system):
-        # Small memo so the run actually evicts mappings: pre-warming
-        # must still leave every counter bit-identical (the side table
-        # is consulted on misses without touching hit/miss accounting).
-        make = lambda: MayaCache(MayaConfig(memo_capacity=64, **MAYA))  # noqa: E731
-        a, b = run_pair(
-            make, homogeneous("mcf", 2), system, prewarm=True,
-            accesses_per_core=800, warmup_accesses=200, seed=11,
-        )
-        assert_bit_identical(a, b)
-        info = b[0].tags.randomizer.cache_info()
-        assert info.precomputed > 0  # the prewarm actually fired
-
-    def test_prewarm_off_by_default(self, system):
-        # Pinned to the generic oracle: the specialized scalar replay
-        # (specialize=True, the default) batch-precomputes set indices
-        # by design - the same observably-free side-table fill the
-        # vector engine does - so the no-precompute invariant is a
-        # property of the generic drive loop specifically.
-        llc = MayaCache(MayaConfig(**MAYA))
-        run_mix(llc, homogeneous("mcf", 2), system,
-                accesses_per_core=300, warmup_accesses=0, seed=2,
-                trace_cache=False, specialize=False)
-        assert llc.tags.randomizer.cache_info().precomputed == 0
-
-
 class TestPretranslate:
     """Ahead-of-time index translation must be invisible in results."""
 
@@ -189,7 +158,10 @@ class TestPretranslate:
         assert_bit_identical((llc_off, r_off), (llc_on, r_on))
 
     def test_splitmix_stays_off_by_default(self, system):
-        # Generic oracle pinned, as in test_prewarm_off_by_default.
+        # Pinned to the generic oracle: the specialized scalar replay
+        # batch-precomputes Maya's set indices by design (an observably
+        # free side-table fill), so "no precompute" is a property of
+        # the generic drive loop specifically.
         llc = MayaCache(MayaConfig(**MAYA))
         run_mix(llc, homogeneous("mcf", 2), system,
                 accesses_per_core=300, warmup_accesses=0, seed=2,
