@@ -70,18 +70,6 @@ class DataStore:
         """The raw RPTR of slot ``idx`` (``NO_TAG`` when free)."""
         return self._rptr[idx]
 
-    def columns_numpy(self):
-        """The RPTR column as an ``int64`` numpy snapshot.
-
-        Free slots hold ``NO_TAG`` (-1), so ``column != NO_TAG`` is the
-        batch validity mask (what an occupancy sweep or the kernel
-        microbenchmark reduces over).  A snapshot, not a view: the live
-        column is a plain list for the scalar hot path's benefit.
-        """
-        import numpy as np
-
-        return np.array(self._rptr, dtype=np.int64)
-
     def allocate(self, rptr: int) -> int:
         """Take a free entry, point it at tag ``rptr``, return its index."""
         if not self._free:

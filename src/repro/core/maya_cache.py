@@ -79,10 +79,6 @@ class MayaCache:
     """
 
     extra_lookup_latency = SECURE_LOOKUP_EXTRA_CYCLES
-    #: The vector replay engine (:mod:`repro.engine.vector`) transcribes
-    #: this design's inline hot paths; flipping this off forces the
-    #: scalar engine even when ``--engine vector`` is requested.
-    supports_vector_replay = True
 
     def __init__(
         self,

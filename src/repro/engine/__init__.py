@@ -1,43 +1,16 @@
-"""Replay engine selection.
+"""Drive-path machinery behind ``run_mix``.
 
-Two engines drive ``run_mix``:
+* :mod:`repro.engine.specialize` - config-specialized ``access_fast``
+  steps, rendered from templates and exec-compiled per configuration.
+* :mod:`repro.engine.opstream` - stage 1 of the op-stream replay:
+  per-core private-level pre-simulation into cached op streams.
+* :mod:`repro.engine.vector` - stage 2: the op-stream replay, which
+  runs every op through the LLC's (specialized) step on an exact
+  integer clock grid.
+* :mod:`repro.engine.kernels` - numpy pre-passes for the replay setup
+  (batch splitmix index derivation).
 
-* ``"scalar"`` - the default and the differential oracle: the
-  per-access drive loops in :mod:`repro.hierarchy.simulator`.
-* ``"vector"`` - the numpy column-replay backend
-  (:mod:`repro.engine.vector`): op-stream compression + batch kernels
-  with epoch-segmented scalar fallback around state-coupling events.
-  Requested-but-unavailable vector runs fall back to scalar
-  transparently, recording the reason in ``MixResult.engine_info``.
-
-Selection precedence: the ``run_mix(engine=...)`` / CLI ``--engine``
-argument, then the ``REPRO_ENGINE`` environment variable, then
-``"scalar"``.
+``run_mix`` has one fast path (the op-stream replay) and one oracle
+(the per-access drive under ``specialize=False``); the per-access
+drive is also the fallback for configurations the replay gates out.
 """
-
-from __future__ import annotations
-
-import os
-from typing import Optional
-
-#: Environment variable consulted when no explicit engine is passed.
-ENGINE_ENV = "REPRO_ENGINE"
-
-ENGINES = ("scalar", "vector")
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve the requested replay engine name.
-
-    ``engine`` wins when given; otherwise :data:`ENGINE_ENV`;
-    otherwise ``"scalar"``.  Unknown names raise ``ValueError`` so a
-    typo cannot silently run the wrong engine.
-    """
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV) or "scalar"
-    engine = engine.strip().lower()
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
-        )
-    return engine

@@ -1,23 +1,17 @@
-"""Numpy batch kernels over the packed simulation columns.
+"""Numpy pre-passes for the op-stream replay setup.
 
-These are the array primitives behind :mod:`repro.engine.vector`:
+:func:`splitmix_indices` is the vectorized splitmix64 index derivation:
+before a Maya replay starts, every distinct line its op streams can
+touch is mixed and XOR-folded in one pass and installed in the
+randomizer's precomputed side table, so the replay's per-miss index
+derivation becomes a dict probe
+(:meth:`repro.engine.vector.VectorReplay.precompute_indices`).
 
-* :func:`splitmix_indices` - the vectorized splitmix64 index derivation.
-  This is the kernel the vector engine runs on its setup hot path: every
-  distinct line a compiled trace can touch is mixed and XOR-folded in
-  one pass and installed in the randomizer's precomputed side table, so
-  the replay loop's per-miss index derivation becomes a dict probe.
-* :func:`tag_compare` - per-skew vectorized tag compare over mirrored
-  ``SkewedTagStore`` / ``SetAssociativeCache`` columns: one probe batch
-  against the ``(addr, sdid, state)`` columns at the mapped sets.
-* :func:`victim_select` - masked first-invalid-way selection over a
-  state column for a batch of set bases.
-
-The scalar inline paths in :mod:`repro.core.maya_cache` and
-:mod:`repro.crypto.randomizer` remain the oracle; every kernel here is
-cross-checked element-wise against them by ``tests`` (marker
-``vector``) and by the ``tools/bench.py`` kernel microbenchmark, which
-refuses to report timings when outputs disagree.
+The scalar inline mixers in :mod:`repro.core.maya_cache` and
+:mod:`repro.crypto.randomizer` remain the oracle; the kernel is
+cross-checked element-wise against them by
+``tests/test_vector_kernels.py`` and by the ``tools/bench.py`` kernel
+microbenchmark, which refuses to report timings when outputs disagree.
 
 numpy is an *optional* dependency of the library: import this module
 lazily and let :data:`HAVE_NUMPY` gate usage.
@@ -25,7 +19,7 @@ lazily and let :data:`HAVE_NUMPY` gate usage.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 try:  # pragma: no cover - exercised implicitly by every import
     import numpy as np
@@ -45,7 +39,7 @@ _MIX2 = 0x94D049BB133111EB
 
 def _require_numpy() -> None:
     if not HAVE_NUMPY:
-        raise RuntimeError("numpy is not available; the vector kernels cannot run")
+        raise RuntimeError("numpy is not available; the numpy kernels cannot run")
 
 
 def splitmix_indices(line_addrs, keys: Sequence[int], index_bits: int, sdid: int = 0):
@@ -79,106 +73,3 @@ def splitmix_indices(line_addrs, keys: Sequence[int], index_bits: int, sdid: int
             folded ^= x >> np.uint64(shift)
         columns.append((folded & mask).astype(np.uint32))
     return columns
-
-
-def tag_compare(addr_col, sdid_col, state_col, set_bases, ways: int,
-                probe_addrs, probe_sdids):
-    """Vectorized tag compare: locate each probe in its mapped set.
-
-    ``addr_col`` / ``sdid_col`` / ``state_col`` are numpy mirrors of the
-    packed tag columns (flat, indexed ``set_base + way``).  For probe
-    ``i``, the ``ways`` slots starting at ``set_bases[i]`` are compared
-    against ``(probe_addrs[i], probe_sdids[i])``; valid slots (state
-    nonzero) with both fields equal are hits.  Returns an ``np.int64``
-    array of flat slot indices, ``-1`` where the probe misses.
-
-    This is the batched form of the associative probe that
-    ``SkewedTagStore.lookup_associative`` performs one entry at a time
-    (the simulators shortcut it through the ``_where`` dict; the batch
-    kernel exists for the replay engine's segment-boundary probes and
-    is held bit-identical to the scalar probe by the ``vector`` tests).
-    """
-    _require_numpy()
-    bases = np.ascontiguousarray(set_bases, dtype=np.int64)
-    way_offsets = np.arange(ways, dtype=np.int64)
-    slots = bases[:, None] + way_offsets[None, :]
-    hit = (
-        (np.asarray(state_col)[slots] != 0)
-        & (np.asarray(addr_col)[slots] == np.asarray(probe_addrs, dtype=np.uint64)[:, None])
-        & (np.asarray(sdid_col)[slots] == np.asarray(probe_sdids, dtype=np.int64)[:, None])
-    )
-    first = hit.argmax(axis=1)
-    found = hit.any(axis=1)
-    return np.where(found, bases + first, np.int64(-1))
-
-
-def victim_select(state_col, set_bases, ways: int):
-    """Masked first-invalid-way selection for a batch of sets.
-
-    For each base in ``set_bases``, returns the flat index of the first
-    way whose state byte is zero (``bytearray.find`` semantics of the
-    scalar install path), or ``-1`` when the set is full - the SAE
-    hazard the vector engine treats as a state-coupling event.
-
-    The common caller shape - a full-store sweep where the bases are
-    consecutive sets (``base[i+1] - base[i] == ways``) - takes a
-    zero-copy ``reshape`` view of the state column instead of
-    materialising the ``(n, ways)`` gather-index matrix; that is what
-    made BENCH_9's batch path measure *slower* than the scalar
-    ``bytearray.find`` loop.
-    """
-    _require_numpy()
-    bases = np.ascontiguousarray(set_bases, dtype=np.int64)
-    state = np.asarray(state_col)
-    n = len(bases)
-    if (
-        n > 1
-        and int(bases[0]) >= 0
-        and int(bases[0]) + n * ways <= len(state)
-        and bool((np.diff(bases) == ways).all())
-    ):
-        grid = state[int(bases[0]) : int(bases[0]) + n * ways].reshape(n, ways)
-    else:
-        way_offsets = np.arange(ways, dtype=np.int64)
-        grid = state[bases[:, None] + way_offsets[None, :]]
-    invalid = grid == 0
-    first = invalid.argmax(axis=1)
-    found = invalid.any(axis=1)
-    return np.where(found, bases + first, np.int64(-1))
-
-
-def exact_static_advances(gaps, base_latencies, base_cpi: float):
-    """Per-access static clock advances ``gap * cpi + latency`` (float64).
-
-    Inputs must satisfy the dyadic-exactness gate (see
-    ``repro.engine.vector``): every product and partial sum is then
-    exactly representable, so the returned column and its running sum
-    are bit-identical to the scalar engine's left-to-right fold.
-    """
-    _require_numpy()
-    return np.asarray(gaps, dtype=np.float64) * base_cpi + np.asarray(
-        base_latencies, dtype=np.float64
-    )
-
-
-def as_uint64(column) -> "np.ndarray":
-    """Zero-copy ``np.uint64`` view over a packed ``'Q'`` column.
-
-    Accepts any buffer (``array('Q')``, or a typed ``memoryview`` from
-    the mmap artifact store); the view inherits the buffer's
-    writability, so mmap-backed columns come back read-only.
-    """
-    _require_numpy()
-    return np.frombuffer(column, dtype=np.uint64)
-
-
-def prince_encrypt_many(cipher, blocks) -> List[int]:
-    """Batch PRINCE encryption through the numpy gather kernel.
-
-    Thin convenience wrapper over
-    :meth:`repro.crypto.prince.Prince.encrypt_many`, which routes large
-    batches through the fused-table numpy path when available; exposed
-    here so the kernel microbenchmark addresses all batch kernels
-    through one module.
-    """
-    return cipher.encrypt_many(blocks)

@@ -1,4 +1,4 @@
-"""Per-core LLC op streams: stage 1 of the vectorized replay engine.
+"""Per-core LLC op streams: stage 1 of the op-stream replay.
 
 The key structural fact behind :mod:`repro.engine.vector`: a core's
 private levels (L1D, L2, stride prefetcher) are a deterministic
@@ -17,8 +17,8 @@ just the operations that touch shared state:
   DRAM latency over the MLP factor on a miss).
 
 Per access the stream stores a *latency class* (0 = L1 hit, 1 = L2
-hit, 2 = LLC reached) and the ops in the exact order the scalar closure
-would have issued them; accesses with no ops (the overwhelming
+hit, 2 = LLC reached) and the ops in the exact order the per-access
+closure would have issued them; accesses with no ops (the overwhelming
 majority after L1/L2 filtering) collapse into precomputed static clock
 advances at replay time.  The op stream is independent of the LLC
 design and of how cores interleave, so one build serves every LLC and
@@ -206,7 +206,7 @@ class OpStream(NamedTuple):
 
         Returns ``(lat_class, op_counts, op_kinds, op_addrs)`` as
         ``uint8`` / ``uint8`` / ``uint8`` / ``uint64`` ndarrays sharing
-        memory with the packed columns.  The vector replay engine
+        memory with the packed columns.  The op-stream replay
         (:mod:`repro.engine.vector`) consumes these directly; writes
         would corrupt the stream (and, under the mmap store, the
         shared map), so the views are read-only.
@@ -375,9 +375,9 @@ def build_opstream(
     writeback helpers) for one core in isolation: identical access
     order, identical inlined prefetcher state machine, identical L1/L2
     eviction behaviour - differing only in that every LLC/DRAM
-    interaction is *recorded* instead of performed.  The scalar engine
-    over the same trace issues exactly these ops in exactly this
-    per-core order (``tests/test_differential_engines.py`` holds the
+    interaction is *recorded* instead of performed.  The per-access
+    drive over the same trace issues exactly these ops in exactly this
+    per-core order (``tests/test_opstream_replay.py`` holds the
     end-to-end results bit-identical).
 
     ``prefetcher`` is ``(degree, confidence_threshold, max_confidence)``

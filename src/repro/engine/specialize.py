@@ -20,8 +20,8 @@ step function with:
 The generated function is installed as an *instance* attribute
 (``llc.access_fast``), which every caller - the compiled hierarchy
 closure (:meth:`repro.hierarchy.system.CacheHierarchy._compile_access`),
-the vector engine's scalar fallback windows
-(:mod:`repro.engine.vector`), and the public ``access()`` wrapper -
+the op-stream replay (:mod:`repro.engine.vector`), and the public
+``access()`` wrapper -
 picks up because they all resolve ``access_fast`` by attribute at call
 time.  Rare paths (SAE handling, priority-0 promotion, priority-1
 install) delegate to the bound generic methods, so behaviour is

@@ -8,19 +8,19 @@ coupling that creates inter-core LLC interference - and statistics are
 collected after a warm-up phase, following the paper's methodology
 (200M warm-up + 200M measured instructions per core, scaled down).
 
-Two drive loops produce bit-identical results:
+Every run replays :class:`~repro.trace.compiled.CompiledTrace` packed
+columns, on one of two drive paths with bit-identical results:
 
-* the **compiled fast path** (default) replays
-  :class:`~repro.trace.compiled.CompiledTrace` packed columns with
-  plain integer indexing - no generator resumes, no per-access object
-  construction - either access by access through the hierarchy or,
-  when specialization installed an LLC step, as a replay of the
-  cached per-core op streams (:mod:`repro.engine.vector`);
-* the **generator path** (``compiled=False``) pulls
-  :class:`~repro.trace.record.MemoryAccess` records out of the
-  synthetic generators one at a time.  It is the oracle:
-  ``tests/test_compiled_replay.py`` requires both paths to produce
-  bit-identical ``CacheStats`` and per-core IPCs.
+* the **op-stream replay** (the fast path): when specialization
+  installed an LLC step, the cached per-core op streams replay through
+  it (:mod:`repro.engine.vector`), so only accesses that reach the LLC
+  or DRAM touch the heap;
+* the **per-access drive** (:func:`_drive_compiled`): every access
+  walks the hierarchy with plain integer indexing.  It is the oracle
+  (``specialize=False``; ``tests/test_opstream_replay.py`` requires
+  bit-identical ``CacheStats`` and per-core IPCs) and the fallback for
+  configurations the replay gates out, with the reason in
+  ``MixResult.specialize_info``.
 """
 
 from __future__ import annotations
@@ -31,13 +31,11 @@ from typing import List, Optional, Sequence
 
 from ..common.config import SystemConfig
 from ..common.rng import derive_seed
-from ..engine import resolve_engine
 from ..engine.specialize import apply_specialization, resolve_specialize
 from ..llc.interface import LLCache
 from ..trace.compiled import compile_workload
 from ..trace.mixes import Mix
 from ..trace.translated import translate_trace
-from ..trace.workloads import get_workload
 from .system import CacheHierarchy
 
 
@@ -68,13 +66,9 @@ class MixResult:
     #: Randomizer mapping-cache hit rate over the measured window
     #: (0.0 for designs without a randomizer/mapping cache).
     llc_randomizer_hit_rate: float = 0.0
-    #: The replay engine that actually drove the run (``"scalar"`` or
-    #: ``"vector"``); a requested-but-gated vector run reports
-    #: ``"scalar"`` here with the reason in :attr:`engine_info`.
-    engine: str = "scalar"
-    #: Engine provenance: for vector runs, numpy version plus
-    #: ``segments``/``fallback_ops`` hazard counts; for scalar
-    #: fallbacks of a vector request, the ``fallback_reason``.
+    #: Op-stream replay provenance (numpy version, ops executed,
+    #: run-cache hits and builds); ``None`` when the per-access drive
+    #: ran.  Diagnostic only - never part of canonical results.
     engine_info: Optional[dict] = None
     #: Specialization provenance (:mod:`repro.engine.specialize`):
     #: ``None`` when the generic engines ran (``REPRO_SPECIALIZE=0``),
@@ -150,38 +144,6 @@ def _drive_compiled(
             heappush(heap, (clock, c))
 
 
-def _drive_generator(
-    hierarchy_access,
-    streams: List[tuple],
-    clocks: List[float],
-    instructions: List[int],
-    base_cpi: float,
-    per_core: int,
-    model_bandwidth: bool,
-) -> None:
-    """One time-ordered phase pulling records out of the generators."""
-    cores = range(len(streams))
-    done = [0] * len(streams)
-    heap = [(clocks[c], c) for c in cores]
-    heapq.heapify(heap)
-    heappop, heappush = heapq.heappop, heapq.heappush
-    while heap:
-        _, c = heappop(heap)
-        stream, offset = streams[c]
-        access = next(stream)
-        latency = hierarchy_access(
-            c,
-            access.line_addr + offset,
-            access.is_write,
-            clocks[c] if model_bandwidth else None,
-        )
-        clocks[c] += access.gap * base_cpi + latency
-        instructions[c] += access.gap + 1
-        done[c] += 1
-        if done[c] < per_core:
-            heappush(heap, (clocks[c], c))
-
-
 def run_mix(
     llc: LLCache,
     mix: Mix,
@@ -191,11 +153,9 @@ def run_mix(
     seed: Optional[int] = None,
     enable_prefetch: bool = True,
     model_bandwidth: bool = False,
-    compiled: Optional[bool] = None,
     trace_cache: Optional[bool] = None,
     pretranslate: Optional[bool] = None,
     translate_jobs: Optional[int] = None,
-    engine: Optional[str] = None,
     specialize: Optional[bool] = None,
 ) -> MixResult:
     """Simulate ``mix`` over ``llc``; returns per-core IPCs + LLC stats.
@@ -206,51 +166,40 @@ def run_mix(
     turns on DRAM channel-occupancy queueing (cores' clocks feed the
     controller), which matters for bandwidth-bound streaming mixes.
 
-    ``compiled`` selects the drive loop: ``None``/``True`` (default)
-    replays compiled packed traces; ``False`` forces the original
-    generator path (the differential oracle).  Both produce
-    bit-identical results.  ``trace_cache`` is forwarded to
+    ``trace_cache`` is forwarded to
     :func:`repro.trace.compiled.compile_workload` (``None`` honours the
     ``REPRO_TRACE_CACHE`` environment variable; ``False`` recompiles
     every call).
 
-    ``pretranslate`` (compiled path only) is the ahead-of-time index
-    translation pipeline: every distinct line each compiled trace can
-    touch is pushed through the randomizer's batch cipher kernel and
-    the per-skew index columns are installed in its precomputed side
-    table (and persisted in the on-disk translated-trace cache, keyed
-    by address-set content x key fingerprint x SDID, so warm trials
-    skip cipher work entirely).  ``None`` auto-enables it exactly when
-    it pays: the LLC exposes an ``index_randomizer`` running
-    ``algorithm="prince"``, whose per-miss cipher pass dominates a cold
-    trial (the splitmix mixer is cheaper than the table consult).
-    Results and memo counters are unchanged; from the first ``rekey()``
-    (e.g. an SAE-triggered remap) the side table is dropped with the
-    old keys and lookups fall back to the live randomizer.  ``translate_jobs`` caps the translation
-    process pool (``1`` forces serial).  ``trace_cache=False`` also
-    bypasses the translated-index cache.
-
-    ``engine`` selects the replay backend: ``"scalar"`` (default) or
-    ``"vector"`` (the numpy column-replay engine,
-    :mod:`repro.engine.vector`); ``None`` honours ``REPRO_ENGINE``.
-    Both engines produce bit-identical results; when the vector
-    engine's preconditions fail (non-Maya design, numpy missing,
-    bandwidth model on, ...) the run transparently drops to scalar and
-    ``MixResult.engine_info["fallback_reason"]`` says why.
+    ``pretranslate`` is the ahead-of-time index translation pipeline:
+    every distinct line each compiled trace can touch is pushed through
+    the randomizer's batch cipher kernel and the per-skew index columns
+    are installed in its precomputed side table (and persisted in the
+    on-disk translated-trace cache, keyed by address-set content x key
+    fingerprint x SDID, so warm trials skip cipher work entirely).
+    ``None`` auto-enables it exactly when it pays: the LLC exposes an
+    ``index_randomizer`` running ``algorithm="prince"``, whose per-miss
+    cipher pass dominates a cold trial (the splitmix mixer is cheaper
+    than the table consult).  Results and memo counters are unchanged;
+    from the first ``rekey()`` (e.g. an SAE-triggered remap) the side
+    table is dropped with the old keys and lookups fall back to the live
+    randomizer.  ``translate_jobs`` caps the translation process pool
+    (``1`` forces serial).  ``trace_cache=False`` also bypasses the
+    translated-index cache.
 
     ``specialize`` selects the config-specialized step functions
     (:mod:`repro.engine.specialize`): ``None`` honours
     ``REPRO_SPECIALIZE`` (default on), ``False`` keeps the generic
-    interpreters (the differential oracle).  Specialization is applied
-    after the hierarchy is built and released with it; every caller
-    resolves ``access_fast`` by attribute, so the scalar drive loops
-    and the vector engine's scalar fallback windows both pick up the
-    specialized steps.  Results are bit-identical either way (the
-    ``specialize`` differential suite enforces it); the provenance
-    lands in ``MixResult.specialize_info``, never in canonical results.
+    interpreters on the per-access drive (the differential oracle).
+    Specialization is applied after the hierarchy is built and released
+    with it; every caller resolves ``access_fast`` by attribute, so both
+    drive paths pick up the specialized steps.  The op-stream replay
+    runs only when an LLC step was installed: ``specialize_info``
+    records ``"replay"``, or the gate that declined it in
+    ``"replay_reason"``.  Results are bit-identical either way (the
+    ``specialize`` differential suites enforce it); the provenance lands
+    in ``MixResult.specialize_info``, never in canonical results.
     """
-    requested_engine = resolve_engine(engine)
-    engine_used = "scalar"
     engine_info: Optional[dict] = None
     config = config or SystemConfig(cores=mix.cores)
     if config.cores < mix.cores:
@@ -271,117 +220,79 @@ def run_mix(
     clocks = [0.0] * cores
     instructions = [0] * cores
     hierarchy_access = hierarchy.access  # bound once; hot loops below
-    use_compiled = compiled is None or compiled
 
-    if use_compiled:
-        # The measurement phase issues max(1, accesses_per_core) records
-        # per core (the drive loop steps each core at least once), so the
-        # compiled trace must cover exactly that many plus warm-up.
-        length = warmup_accesses + max(1, accesses_per_core)
-        traces = [
-            compile_workload(
-                bench,
-                llc_lines,
-                length,
-                seed=derive_seed(seed, 100 + core_id),
-                use_cache=trace_cache,
-            )
-            for core_id, bench in enumerate(mix.assignments)
-        ]
-        columns: List[tuple] = [
-            (trace.line_addrs, trace.write_flags, trace.gaps, core_id * region)
-            for core_id, trace in enumerate(traces)
-        ]
-        # Ahead-of-time index translation: batch-encrypt every (line,
-        # sdid) pair the replay can touch and install the packed index
-        # columns in the randomizer's side table (cached on disk keyed
-        # by content x key fingerprint, so warm trials skip the cipher).
-        randomizer = getattr(llc, "index_randomizer", None)
-        if pretranslate is None:
-            do_pretranslate = randomizer is not None and randomizer.algorithm == "prince"
-        else:
-            do_pretranslate = bool(pretranslate) and randomizer is not None
-        if do_pretranslate:
-            for core_id, trace in enumerate(traces):
-                translated = translate_trace(
-                    randomizer,
-                    trace,
-                    sdid=core_id,
-                    offset=core_id * region,
-                    use_cache=trace_cache,
-                    jobs=translate_jobs,
-                )
-                randomizer.load_packed(translated.line_addrs, translated.columns, sdid=core_id)
-        positions = [0] * cores
-
-        def phase(per_core: int) -> None:
-            _drive_compiled(
-                hierarchy_access, columns, positions, clocks, instructions,
-                base_cpi, per_core, model_bandwidth,
-            )
-
-        if requested_engine == "vector":
-            # Imported lazily: the vector engine (and numpy) only load
-            # when actually requested.
-            from ..engine.vector import create_vector_replay
-
-            replay, reason = create_vector_replay(
-                llc, hierarchy, config, mix, traces, seed, region,
-                clocks, instructions, model_bandwidth, enable_prefetch,
-                trace_cache,
-            )
-            if replay is None:
-                engine_info = {"requested": "vector", "fallback_reason": reason}
-            else:
-                engine_used = "vector"
-                engine_info = replay.info
-                phase = replay.phase
-        elif specialization is not None and specialize_info.get("llc") is not None:
-            # Specialized scalar drive: replay the cached op streams
-            # with *every* op executed through the generated scalar
-            # step (``phase_scalar`` - no batch kernels, no hazard
-            # windows), so the serial LLC state machine runs the
-            # specialized code end to end while the private levels come
-            # from the pre-simulated streams.  Any design with an
-            # ``access_fast`` step qualifies; the gates left are the
-            # ones the op streams and the integer clock grid cannot
-            # model.  When any fails, the plain per-access drive keeps
-            # the specialized steps and the reason lands in
-            # ``specialize_info``.
-            from ..engine.vector import create_vector_replay
-
-            replay, reason = create_vector_replay(
-                llc, hierarchy, config, mix, traces, seed, region,
-                clocks, instructions, model_bandwidth, enable_prefetch,
-                trace_cache, scalar_ops=True,
-            )
-            if replay is None:
-                specialize_info["replay"] = None
-                specialize_info["replay_reason"] = reason
-            else:
-                specialize_info["replay"] = "opstream-scalar"
-                specialize_info["replay_reason"] = None
-                engine_info = replay.info
-                phase = replay.phase_scalar
-
+    # The measurement phase issues max(1, accesses_per_core) records
+    # per core (the drive loop steps each core at least once), so the
+    # compiled trace must cover exactly that many plus warm-up.
+    length = warmup_accesses + max(1, accesses_per_core)
+    traces = [
+        compile_workload(
+            bench,
+            llc_lines,
+            length,
+            seed=derive_seed(seed, 100 + core_id),
+            use_cache=trace_cache,
+        )
+        for core_id, bench in enumerate(mix.assignments)
+    ]
+    columns: List[tuple] = [
+        (trace.line_addrs, trace.write_flags, trace.gaps, core_id * region)
+        for core_id, trace in enumerate(traces)
+    ]
+    # Ahead-of-time index translation: batch-encrypt every (line,
+    # sdid) pair the replay can touch and install the packed index
+    # columns in the randomizer's side table (cached on disk keyed
+    # by content x key fingerprint, so warm trials skip the cipher).
+    randomizer = getattr(llc, "index_randomizer", None)
+    if pretranslate is None:
+        do_pretranslate = randomizer is not None and randomizer.algorithm == "prince"
     else:
-        streams: List[tuple] = []
-        for core_id, bench in enumerate(mix.assignments):
-            spec = get_workload(bench)
-            stream = spec.stream(llc_lines, seed=derive_seed(seed, 100 + core_id))
-            streams.append((stream, core_id * region))
-
-        def phase(per_core: int) -> None:
-            _drive_generator(
-                hierarchy_access, streams, clocks, instructions,
-                base_cpi, per_core, model_bandwidth,
+        do_pretranslate = bool(pretranslate) and randomizer is not None
+    if do_pretranslate:
+        for core_id, trace in enumerate(traces):
+            translated = translate_trace(
+                randomizer,
+                trace,
+                sdid=core_id,
+                offset=core_id * region,
+                use_cache=trace_cache,
+                jobs=translate_jobs,
             )
+            randomizer.load_packed(translated.line_addrs, translated.columns, sdid=core_id)
+    positions = [0] * cores
 
-        if requested_engine == "vector":
-            engine_info = {
-                "requested": "vector",
-                "fallback_reason": "generator path (compiled=False) has no column replay",
-            }
+    def phase(per_core: int) -> None:
+        _drive_compiled(
+            hierarchy_access, columns, positions, clocks, instructions,
+            base_cpi, per_core, model_bandwidth,
+        )
+
+    if specialization is not None and specialize_info.get("llc") is not None:
+        # The fast path: replay the cached op streams with every op
+        # executed through the generated LLC step (``phase_scalar``),
+        # so the serial LLC state machine runs the specialized code end
+        # to end while the private levels come from the pre-simulated
+        # streams.  Any design with an ``access_fast`` step qualifies;
+        # the gates left are the ones the op streams and the integer
+        # clock grid cannot model.  When any fails, the per-access
+        # drive keeps the specialized steps and the reason lands in
+        # ``specialize_info``.  Imported lazily: numpy only loads when
+        # a replay is attempted.
+        from ..engine.vector import create_vector_replay
+
+        replay, reason = create_vector_replay(
+            llc, hierarchy, config, mix, traces, seed, region,
+            clocks, instructions, model_bandwidth, enable_prefetch,
+            trace_cache,
+        )
+        if replay is None:
+            specialize_info["replay"] = None
+            specialize_info["replay_reason"] = reason
+        else:
+            specialize_info["replay"] = "opstream-scalar"
+            specialize_info["replay_reason"] = None
+            engine_info = replay.info
+            phase = replay.phase_scalar
 
     # Warm-up: run every core for `warmup_accesses`, time-ordered.
     if warmup_accesses > 0:
@@ -425,7 +336,6 @@ def run_mix(
         llc_saes=stats.saes,
         llc_tag_only_hits=stats.tag_only_hits,
         llc_randomizer_hit_rate=stats.randomizer_hit_rate,
-        engine=engine_used,
         engine_info=engine_info,
         specialize_info=specialize_info,
     )

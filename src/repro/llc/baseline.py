@@ -18,9 +18,6 @@ class BaselineLLC(LLCache):
     """
 
     extra_lookup_latency = 0
-    # Scalar engine only: the vector replay kernel transcribes Maya's
-    # install paths, not SRRIP set-associative replacement.
-    supports_vector_replay = False
 
     def __init__(
         self,

@@ -27,12 +27,6 @@ class LLCache(abc.ABC):
     """
 
     extra_lookup_latency: int = 0
-    #: Engine capability flag: can :mod:`repro.engine.vector` replay
-    #: this design?  ``True`` only for designs whose inline hot paths
-    #: the vector kernel transcribes (currently
-    #: :class:`~repro.core.maya_cache.MayaCache`); the scalar engine
-    #: drives everything else.
-    supports_vector_replay: bool = False
     stats: CacheStats
 
     @abc.abstractmethod

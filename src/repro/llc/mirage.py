@@ -44,10 +44,6 @@ class MirageCache(LLCache):
     """Functional Mirage model (v2 'MIRAGE' with global evictions)."""
 
     extra_lookup_latency = 4
-    # Scalar engine only: global random *data* eviction on every fill
-    # couples all installs through the data store, which the vector
-    # kernel does not transcribe.
-    supports_vector_replay = False
 
     def __init__(
         self,

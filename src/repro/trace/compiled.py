@@ -164,9 +164,8 @@ class CompiledTrace:
         ``uint8`` / ``uint32`` ndarrays sharing memory with the packed
         columns (``np.frombuffer`` over the buffer protocol — no copy).
         The views are explicitly non-writeable: writes would corrupt the
-        trace (and, under the mmap store, the shared map).  The vector
-        replay engine (:mod:`repro.engine.vector`) consumes these
-        directly.
+        trace (and, under the mmap store, the shared map).  The op-stream
+        replay (:mod:`repro.engine.vector`) consumes these directly.
         """
         import numpy as np
 

@@ -71,38 +71,3 @@ class TestFailureHandling:
         assert "synthetic experiment failure" in by_name["table9"]["error"]
         assert by_name["table8"]["ok"]
         capsys.readouterr()
-
-
-@pytest.mark.vector
-class TestEngineFlag:
-    def test_engine_flag_exports_env_and_records_provenance(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        import os
-
-        from repro.engine import ENGINE_ENV
-
-        # setenv-then-delenv: registers teardown that removes whatever
-        # main() exports, so the selection cannot leak into later tests.
-        monkeypatch.setenv(ENGINE_ENV, "scalar")
-        monkeypatch.delenv(ENGINE_ENV)
-        path = tmp_path / "summary.json"
-        assert main(["table8", "--engine", "vector", "--json", str(path)]) == 0
-        assert os.environ[ENGINE_ENV] == "vector"
-        payload = json.loads(path.read_text())
-        assert payload["engine"] == "vector"
-        assert payload["numpy"]  # provenance: numpy version string
-
-    def test_engine_defaults_to_scalar(self, tmp_path, capsys, monkeypatch):
-        from repro.engine import ENGINE_ENV
-
-        monkeypatch.setenv(ENGINE_ENV, "scalar")
-        monkeypatch.delenv(ENGINE_ENV)
-        path = tmp_path / "summary.json"
-        assert main(["table8", "--json", str(path)]) == 0
-        payload = json.loads(path.read_text())
-        assert payload["engine"] == "scalar"
-
-    def test_bad_engine_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["table8", "--engine", "turbo"])

@@ -347,65 +347,3 @@ class TestAdversarialTraffic:
         packed, reference = maya_pair(sets=16, seed=71)
         replay_pair(packed, reference, ops)
         assert packed.stats.accesses == sum(1 for op in ops if op[0] == "access")
-
-
-@pytest.mark.vector
-class TestVectorEngineSweep:
-    """Seed sweep: the numpy column-replay engine vs the scalar loop.
-
-    The targeted hazard tests live in ``test_compiled_replay.py``; this
-    sweep drives whole ``run_mix`` protocols across seeds and workload
-    shapes so engine divergences that depend on stream interleaving
-    (not on a specific hazard) still get caught.
-    """
-
-    @staticmethod
-    def _run_pair(seed, *, bench="mcf", cores=2, on_sae="count",
-                  memo_capacity=None, hash_algorithm="splitmix"):
-        from repro.common.config import SystemConfig
-        from repro.hierarchy.simulator import run_mix
-        from repro.trace.mixes import homogeneous
-
-        system = SystemConfig(
-            cores=cores,
-            l1d_geometry=CacheGeometry(sets=4, ways=4),
-            l2_geometry=CacheGeometry(sets=16, ways=8),
-            llc_geometry=CacheGeometry(sets=64, ways=16),
-        )
-        cfg = dict(sets_per_skew=16, rng_seed=7, hash_algorithm=hash_algorithm)
-        if memo_capacity is not None:
-            cfg["memo_capacity"] = memo_capacity
-        results = []
-        for engine in ("scalar", "vector"):
-            llc = MayaCache(MayaConfig(**cfg), on_sae=on_sae)
-            r = run_mix(
-                llc, homogeneous(bench, cores), system, engine=engine,
-                accesses_per_core=600, warmup_accesses=200, seed=seed,
-                trace_cache=False,
-            )
-            results.append((llc, r))
-        return results
-
-    @pytest.mark.parametrize("seed", [1, 2, 3, 23, 1009])
-    def test_seed_sweep_bit_identical(self, seed):
-        (llc_s, r_s), (llc_v, r_v) = self._run_pair(seed)
-        assert r_v.engine == "vector", r_v.engine_info
-        assert vars(llc_v.stats) == vars(llc_s.stats)
-        assert r_v.ipcs == r_s.ipcs
-        assert r_v.llc_mpki == r_s.llc_mpki
-
-    @pytest.mark.parametrize("bench", ["lbm", "omnetpp"])
-    def test_workload_sweep_bit_identical(self, bench):
-        (llc_s, r_s), (llc_v, r_v) = self._run_pair(11, bench=bench)
-        assert r_v.engine == "vector", r_v.engine_info
-        assert vars(llc_v.stats) == vars(llc_s.stats)
-        assert r_v.ipcs == r_s.ipcs
-
-    def test_tiny_memo_sweep_bit_identical(self):
-        # Constant memo-overflow hazards: the engine spends much of the
-        # run inside scalar fallback windows and must still agree.
-        (llc_s, r_s), (llc_v, r_v) = self._run_pair(5, memo_capacity=32)
-        assert r_v.engine == "vector", r_v.engine_info
-        assert r_v.engine_info["segments"] > 0
-        assert vars(llc_v.stats) == vars(llc_s.stats)
-        assert r_v.ipcs == r_s.ipcs

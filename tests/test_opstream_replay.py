@@ -1,4 +1,4 @@
-"""Differential gate: op-stream scalar replay vs the per-access drive.
+"""Differential gate: op-stream replay vs the per-access drive.
 
 With specialization on, ``run_mix`` replays the cached per-core op
 streams through the LLC's specialized ``access_fast`` step
@@ -7,8 +7,9 @@ baseline, Mirage and Maya alike.  The oracle is the generic per-access
 drive (``specialize=False``): both must produce bit-identical raw
 ``CacheStats`` counters, per-core instruction and cycle counts, and
 MPKI.  Configurations the replay cannot model (``on_sae="raise"``,
-the bandwidth model, TLBs, a coherence directory) must fall back to
-the per-access drive and say why.
+the bandwidth model, TLBs, a coherence directory, an LLC without an
+``access_fast`` step) must fall back to the per-access drive and say
+why.
 
 Marker ``specialize``; run with ``-m specialize``.
 """
@@ -17,11 +18,13 @@ import functools
 
 import pytest
 
-from repro.common.config import CacheGeometry, MirageConfig, SystemConfig
+from repro.common.config import CacheGeometry, MayaConfig, MirageConfig, SystemConfig
+from repro.core.maya_cache import MayaCache
 from repro.hierarchy import simulator
 from repro.hierarchy.simulator import run_mix
 from repro.hierarchy.system import CacheHierarchy
 from repro.llc.baseline import BaselineLLC
+from repro.llc.ceaser import CeaserCache
 from repro.llc.mirage import MirageCache
 from repro.trace.mixes import Mix, homogeneous
 
@@ -38,12 +41,28 @@ HETERO = Mix("mcf-lbm", ("mcf", "lbm"), "RATE")
 
 MIRAGE = dict(sets_per_skew=16, rng_seed=7, hash_algorithm="splitmix")
 
+MAYA = dict(sets_per_skew=16, rng_seed=7, hash_algorithm="splitmix")
+
+#: A Maya tag store with no invalid-way reserve: installs land in full
+#: sets, so every run takes SAEs.
+MAYA_SAE = dict(
+    sets_per_skew=4, base_ways_per_skew=2, reuse_ways_per_skew=1,
+    invalid_ways_per_skew=0, rng_seed=5,
+)
+
 RUN = dict(accesses_per_core=1500, warmup_accesses=500, seed=11, trace_cache=False)
 
 
 def _mirage(algorithm="splitmix", **kwargs):
     config = {**MIRAGE, "hash_algorithm": algorithm, **kwargs}
     return lambda: MirageCache(MirageConfig(**config))
+
+
+def _maya(algorithm="splitmix", on_sae="count", global_tag_eviction=True, **kwargs):
+    config = {**MAYA, "hash_algorithm": algorithm, **kwargs}
+    return lambda: MayaCache(
+        MayaConfig(**config), on_sae=on_sae, global_tag_eviction=global_tag_eviction
+    )
 
 
 def run_both(make_llc, mix, **kwargs):
@@ -98,14 +117,86 @@ class TestReplayDifferential:
 
     @pytest.mark.parametrize(
         "make_llc",
-        [lambda: BaselineLLC(SYSTEM.llc_geometry), _mirage()],
-        ids=["baseline", "mirage"],
+        [lambda: BaselineLLC(SYSTEM.llc_geometry), _mirage(), _maya()],
+        ids=["baseline", "mirage", "maya"],
     )
     def test_heterogeneous_mix(self, make_llc):
         ref, fast = run_both(make_llc, HETERO)
         assert_replayed(fast[1])
         assert ref[0].stats.writebacks_received > 0  # lbm's write traffic
         assert_bit_identical(ref, fast)
+
+    # -- Maya: hash modes, stream shapes, and every hazard (SAE storms,
+    # SAE-triggered rekeys, memo-capacity evictions) landing mid-stream.
+
+    @pytest.mark.parametrize("algorithm", ["splitmix", "prince"])
+    def test_maya(self, algorithm):
+        ref, fast = run_both(_maya(algorithm), homogeneous("mcf", 2))
+        assert_replayed(fast[1])
+        assert ref[0].stats.tag_evictions > 0
+        assert_bit_identical(ref, fast)
+
+    @pytest.mark.parametrize("bench", ["lbm", "omnetpp"])
+    def test_maya_workloads(self, bench):
+        # lbm streams with 45% writes; both exercise the writeback ops.
+        ref, fast = run_both(_maya(), homogeneous(bench, 2))
+        assert_replayed(fast[1])
+        assert ref[0].stats.writebacks_received > 0
+        assert_bit_identical(ref, fast)
+
+    def test_maya_zero_warmup(self):
+        ref, fast = run_both(_maya(), homogeneous("mcf", 2), warmup_accesses=0)
+        assert_replayed(fast[1])
+        assert_bit_identical(ref, fast)
+
+    def test_maya_saes_counted(self):
+        ref, fast = run_both(_maya(**MAYA_SAE), homogeneous("mcf", 2))
+        assert_replayed(fast[1])
+        assert ref[0].stats.saes > 0
+        assert_bit_identical(ref, fast)
+
+    @pytest.mark.parametrize("algorithm", ["splitmix", "prince"])
+    def test_maya_sae_rekey(self, algorithm):
+        # on_sae="rekey": the mapping keys change and the memo and
+        # precomputed side tables are dropped mid-replay.
+        ref, fast = run_both(
+            _maya(algorithm, on_sae="rekey", **MAYA_SAE), homogeneous("mcf", 2)
+        )
+        assert_replayed(fast[1])
+        assert ref[0].stats.saes > 0
+        assert ref[0].tags.randomizer.epoch > 1  # rekeys actually happened
+        assert_bit_identical(ref, fast)
+        assert fast[0].tags.randomizer.epoch == ref[0].tags.randomizer.epoch
+
+    def test_maya_sae_rekey_without_global_tag_eviction(self):
+        ref, fast = run_both(
+            _maya(on_sae="rekey", global_tag_eviction=False, **MAYA_SAE),
+            homogeneous("mcf", 2),
+        )
+        assert_replayed(fast[1])
+        assert ref[0].tags.randomizer.epoch > 1
+        assert_bit_identical(ref, fast)
+
+    def test_maya_memo_capacity_evictions(self):
+        # A 64-entry mapping memo overflows constantly.
+        ref, fast = run_both(_maya(memo_capacity=64), homogeneous("mcf", 2))
+        assert_replayed(fast[1])
+        memo = ref[0].tags.randomizer.cache_info()
+        assert memo.size == 64 and memo.misses > 64  # it overflowed
+        assert_bit_identical(ref, fast)
+        assert fast[1].llc_randomizer_hit_rate == ref[1].llc_randomizer_hit_rate
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 23, 1009])
+    def test_maya_seed_sweep(self, seed):
+        # Divergences that depend on stream interleaving, not on one
+        # specific hazard.
+        ref, fast = run_both(
+            _maya(), homogeneous("mcf", 2),
+            accesses_per_core=600, warmup_accesses=200, seed=seed,
+        )
+        assert_replayed(fast[1])
+        assert_bit_identical(ref, fast)
+        assert fast[1].ipcs == ref[1].ipcs
 
 
 def _with_hierarchy(monkeypatch, **options):
@@ -145,14 +236,12 @@ class TestReplayGates:
         self._assert_fell_back(fast[1], "coherence")
         assert_bit_identical(ref, fast)
 
-    @pytest.mark.parametrize(
-        "make_llc,name",
-        [(lambda: BaselineLLC(SYSTEM.llc_geometry), "BaselineLLC"), (_mirage(), "MirageCache")],
-        ids=["baseline", "mirage"],
-    )
-    def test_vector_engine_still_declines(self, make_llc, name):
-        result = run_mix(make_llc(), homogeneous("mcf", 2), SYSTEM, engine="vector", **RUN)
-        assert result.engine == "scalar"
-        assert result.engine_info["fallback_reason"] == (
-            f"{name} does not support vector replay"
-        )
+    def test_llc_without_access_fast_step(self):
+        # CEASER's specialized step sits on its inner array; the LLC
+        # object itself has no packed step to replay through.
+        make = lambda: CeaserCache(SYSTEM.llc_geometry, seed=3)  # noqa: E731
+        ref, fast = run_both(make, homogeneous("mcf", 2))
+        self._assert_fell_back(fast[1], "CeaserCache has no access_fast step")
+        assert fast[1].engine_info is None
+        assert ref[0].stats.evictions > 0
+        assert_bit_identical(ref, fast)

@@ -294,7 +294,7 @@ class TestRunMixParity:
         llc = MayaCache(small_maya)
         result = run_mix(
             llc, homogeneous("mcf", 2), system,
-            accesses_per_core=600, warmup_accesses=300, seed=11, compiled=True,
+            accesses_per_core=600, warmup_accesses=300, seed=11,
         )
         return llc, result
 
