@@ -1,12 +1,19 @@
-"""Ahead-of-time index translation must be invisible in results.
+"""Differential gate: op-stream replay and pretranslation vs their oracles.
 
-``run_mix`` pre-translates every line a compiled trace can touch into
-the randomizer's precomputed side table (automatically in PRINCE
-mode).  The oracle is the same run with ``pretranslate=False``: both
-must produce *bit-identical* statistics (the raw ``CacheStats``
-counters, not just summary figures) and identical per-core
-instruction/cycle counts, including when SAE-triggered rekeys drop the
-side table mid-run.
+With specialization on, ``run_mix`` replays the cached per-core op
+streams through the LLC's specialized step (the replay in
+``repro.engine.vector``); the oracle is the per-access drive under
+``specialize=False``.  Separately, ``run_mix`` pre-translates every
+line a compiled trace can touch into the randomizer's precomputed side
+table (automatically in PRINCE mode); the oracle is the same run with
+``pretranslate=False``.  Each pair must produce *bit-identical*
+statistics (the raw ``CacheStats`` counters, not just summary figures)
+and identical per-core instruction/cycle counts, including when
+SAE-triggered rekeys and memo overflows land mid-run.
+
+The broader replay matrix (every baseline policy, the replay gates)
+lives in ``test_opstream_replay.py``; the cases here pin the design,
+stream-shape and hazard configurations at their own seeds and lengths.
 """
 
 import pytest
@@ -14,8 +21,9 @@ import pytest
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig, SystemConfig
 from repro.core.maya_cache import MayaCache
 from repro.hierarchy.simulator import run_mix
+from repro.llc.baseline import BaselineLLC
 from repro.llc.mirage import MirageCache
-from repro.trace.mixes import homogeneous
+from repro.trace.mixes import Mix, homogeneous
 
 
 def assert_bit_identical(pair_ref, pair_cmp):
@@ -39,6 +47,84 @@ def system():
 
 
 MAYA = dict(sets_per_skew=16, rng_seed=7, hash_algorithm="splitmix")
+
+HETERO = Mix("mcf-lbm", ("mcf", "lbm"), "RATE")
+
+
+def run_pair(make_llc, mix, system, **kwargs):
+    """Run the per-access oracle and the op-stream replay on fresh LLCs."""
+    llc_ref, llc_cmp = make_llc(), make_llc()
+    r_ref = run_mix(llc_ref, mix, system, specialize=False,
+                    trace_cache=False, **kwargs)
+    r_cmp = run_mix(llc_cmp, mix, system, specialize=True,
+                    trace_cache=False, **kwargs)
+    assert r_cmp.specialize_info["replay"] == "opstream-scalar", r_cmp.specialize_info
+    assert r_cmp.engine_info["scalar_ops"] > 0
+    return (llc_ref, r_ref), (llc_cmp, r_cmp)
+
+
+class TestDesigns:
+    def test_maya(self, system):
+        a, b = run_pair(
+            lambda: MayaCache(MayaConfig(**MAYA)),
+            homogeneous("mcf", 2), system,
+            accesses_per_core=800, warmup_accesses=400, seed=11,
+        )
+        assert a[0].stats.accesses > 0
+        assert_bit_identical(a, b)
+
+    def test_mirage(self, system):
+        a, b = run_pair(
+            lambda: MirageCache(MirageConfig(sets_per_skew=16, rng_seed=7,
+                                             hash_algorithm="splitmix")),
+            homogeneous("mcf", 2), system,
+            accesses_per_core=800, warmup_accesses=400, seed=11,
+        )
+        assert_bit_identical(a, b)
+
+    def test_baseline(self, system):
+        a, b = run_pair(
+            lambda: BaselineLLC(system.llc_geometry),
+            homogeneous("mcf", 2), system,
+            accesses_per_core=800, warmup_accesses=400, seed=11,
+        )
+        assert_bit_identical(a, b)
+
+
+class TestStreamShapes:
+    def test_write_heavy_stream(self, system):
+        # lbm: streaming, 45% writes - exercises the writeback path.
+        a, b = run_pair(
+            lambda: MayaCache(MayaConfig(**MAYA)),
+            homogeneous("lbm", 2), system,
+            accesses_per_core=800, warmup_accesses=200, seed=5,
+        )
+        assert a[0].stats.writebacks_received > 0
+        assert_bit_identical(a, b)
+
+    def test_rekey_during_run(self, system):
+        # Tag store with no invalid-way reserve + rekey-on-SAE: the
+        # mapping keys change mid-replay, which must not desynchronize
+        # the replay from the oracle.
+        cfg = MayaConfig(
+            sets_per_skew=4, base_ways_per_skew=2, reuse_ways_per_skew=1,
+            invalid_ways_per_skew=0, rng_seed=5, hash_algorithm="splitmix",
+        )
+        a, b = run_pair(
+            lambda: MayaCache(cfg, on_sae="rekey", global_tag_eviction=False),
+            homogeneous("mcf", 2), system,
+            accesses_per_core=1200, warmup_accesses=300, seed=13,
+        )
+        assert a[0].stats.saes > 0
+        assert_bit_identical(a, b)
+
+    def test_heterogeneous_cores_interleave_identically(self, system):
+        a, b = run_pair(
+            lambda: MayaCache(MayaConfig(**MAYA)),
+            HETERO, system,
+            accesses_per_core=700, warmup_accesses=300, seed=17,
+        )
+        assert_bit_identical(a, b)
 
 
 class TestPretranslate:
@@ -120,3 +206,64 @@ class TestPretranslate:
         r_on = run_mix(llc_on, homogeneous("mcf", 2), system, **kwargs)
         assert llc_on.index_randomizer.cache_info().precomputed > 0
         assert_bit_identical((llc_off, r_off), (llc_on, r_on))
+
+
+@pytest.mark.specialize
+class TestVectorEngine:
+    """The replay in ``repro.engine.vector`` vs the per-access oracle.
+
+    Whole ``run_mix`` protocols on Maya, with the hazards the replay
+    must carry through its live specialized step: writebacks, mixed
+    per-core streams, memo overflows and the global-tag-eviction
+    ablation.
+    """
+
+    def test_full_protocol_bit_identical(self, system):
+        a, b = run_pair(
+            lambda: MayaCache(MayaConfig(**MAYA)),
+            homogeneous("mcf", 2), system,
+            accesses_per_core=800, warmup_accesses=400, seed=11,
+        )
+        assert a[0].stats.tag_evictions > 0
+        assert_bit_identical(a, b)
+
+    def test_write_heavy_stream(self, system):
+        a, b = run_pair(
+            lambda: MayaCache(MayaConfig(**MAYA)),
+            homogeneous("lbm", 2), system,
+            accesses_per_core=800, warmup_accesses=200, seed=5,
+        )
+        assert a[0].stats.writebacks_received > 0
+        assert_bit_identical(a, b)
+
+    def test_heterogeneous_mix(self, system):
+        a, b = run_pair(
+            lambda: MayaCache(MayaConfig(**MAYA)),
+            HETERO, system,
+            accesses_per_core=700, warmup_accesses=300, seed=17,
+        )
+        assert a[0].stats.writebacks_received > 0  # lbm's write traffic
+        assert_bit_identical(a, b)
+
+    def test_memo_capacity_eviction_mid_batch(self, system):
+        # A 64-entry memo overflows constantly; every overflow evicts a
+        # mapping the replay must then recompute through the cipher.
+        a, b = run_pair(
+            lambda: MayaCache(MayaConfig(memo_capacity=64, **MAYA)),
+            homogeneous("mcf", 2), system,
+            accesses_per_core=800, warmup_accesses=200, seed=11,
+        )
+        memo = a[0].tags.randomizer.cache_info()
+        assert memo.size == 64 and memo.misses > 64  # it overflowed
+        assert_bit_identical(a, b)
+        assert b[1].llc_randomizer_hit_rate == a[1].llc_randomizer_hit_rate
+
+    def test_ablation_config_falls_back_to_scalar(self, system):
+        # The global_tag_eviction=False ablation runs on the scalar-ops
+        # replay like every other Maya config.
+        a, b = run_pair(
+            lambda: MayaCache(MayaConfig(**MAYA), global_tag_eviction=False),
+            homogeneous("mcf", 2), system,
+            accesses_per_core=300, warmup_accesses=0, seed=3,
+        )
+        assert_bit_identical(a, b)

@@ -347,3 +347,57 @@ class TestAdversarialTraffic:
         packed, reference = maya_pair(sets=16, seed=71)
         replay_pair(packed, reference, ops)
         assert packed.stats.accesses == sum(1 for op in ops if op[0] == "access")
+
+
+@pytest.mark.specialize
+class TestVectorEngineSweep:
+    """Workload sweep: the op-stream replay vs the per-access drive.
+
+    Drives whole ``run_mix`` protocols on Maya through the replay in
+    ``repro.engine.vector`` (``specialize=True``) and through the
+    per-access oracle (``specialize=False``) across workload shapes and
+    a tiny mapping memo, so divergences that depend on stream
+    interleaving (not on a specific hazard) still get caught.
+    """
+
+    @staticmethod
+    def _run_pair(seed, *, bench="mcf", cores=2, memo_capacity=None):
+        from repro.common.config import SystemConfig
+        from repro.hierarchy.simulator import run_mix
+        from repro.trace.mixes import homogeneous
+
+        system = SystemConfig(
+            cores=cores,
+            l1d_geometry=CacheGeometry(sets=4, ways=4),
+            l2_geometry=CacheGeometry(sets=16, ways=8),
+            llc_geometry=CacheGeometry(sets=64, ways=16),
+        )
+        cfg = dict(sets_per_skew=16, rng_seed=7, hash_algorithm="splitmix")
+        if memo_capacity is not None:
+            cfg["memo_capacity"] = memo_capacity
+        results = []
+        for specialize in (False, True):
+            llc = MayaCache(MayaConfig(**cfg))
+            r = run_mix(
+                llc, homogeneous(bench, cores), system, specialize=specialize,
+                accesses_per_core=600, warmup_accesses=200, seed=seed,
+                trace_cache=False,
+            )
+            results.append((llc, r))
+        assert results[1][1].specialize_info["replay"] == "opstream-scalar"
+        return results
+
+    @pytest.mark.parametrize("bench", ["lbm", "omnetpp"])
+    def test_workload_sweep_bit_identical(self, bench):
+        (llc_s, r_s), (llc_v, r_v) = self._run_pair(11, bench=bench)
+        assert vars(llc_v.stats) == vars(llc_s.stats)
+        assert r_v.ipcs == r_s.ipcs
+
+    def test_tiny_memo_sweep_bit_identical(self):
+        # Constant memo overflows: most mappings are recomputed through
+        # the cipher mid-replay, and the replay must still agree.
+        (llc_s, r_s), (llc_v, r_v) = self._run_pair(5, memo_capacity=32)
+        memo = llc_s.tags.randomizer.cache_info()
+        assert memo.size == 32 and memo.misses > 32  # it overflowed
+        assert vars(llc_v.stats) == vars(llc_s.stats)
+        assert r_v.ipcs == r_s.ipcs
