@@ -179,7 +179,12 @@ class BucketAndBallsModel:
         return bucket
 
     def _remove_from_bucket(self, bucket: int, priority0: bool) -> None:
-        """Targeted removal (spill handling only, so the scan is fine)."""
+        """Targeted removal of the bucket's first ball in pool order (spills only).
+
+        Written as a plain ``list.index`` scan so the oracle stays easy
+        to read; the fast engine finds the same ball through its
+        per-bucket slot index.
+        """
         balls = self._p0_balls if priority0 else self._p1_balls
         counts = self._p0_count if priority0 else self._p1_count
         idx = balls.index(bucket)
@@ -282,6 +287,7 @@ class BucketAndBallsModel:
         accumulated into the time-averaged distribution (1 = every
         iteration; sampling is O(max occupancy) so this is cheap).
         """
+        self._check_run_args(iterations, sample_every)
         for i in range(iterations):
             self.demand_tag_miss()
             self.tag_hit()
@@ -292,6 +298,14 @@ class BucketAndBallsModel:
                     self._hist_accum[k] += count
                 self._samples += 1
         return self.result()
+
+    @staticmethod
+    def _check_run_args(iterations: int, sample_every: int) -> None:
+        """Reject bad ``run`` arguments before any state is touched."""
+        if iterations < 0:
+            raise ConfigurationError(f"iterations must be >= 0, got {iterations}")
+        if sample_every < 1:
+            raise ConfigurationError(f"sample_every must be >= 1, got {sample_every}")
 
     def result(self) -> BucketModelResult:
         total = self.config.total_buckets * max(1, self._samples)

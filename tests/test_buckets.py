@@ -71,6 +71,17 @@ class TestEventTypes:
         assert result.throws == 200  # two throws per iteration
         model.check_invariants()
 
+    @pytest.mark.parametrize("iterations, sample_every", [(10, 0), (10, -1), (-1, 1)])
+    def test_bad_run_arguments_leave_the_model_untouched(self, iterations, sample_every):
+        model = BucketAndBallsModel(small_config(capacity=10))
+        with pytest.raises(ConfigurationError):
+            model.run(iterations, sample_every=sample_every)
+        assert (model.iterations_run, model.throws, model.spills) == (0, 0, 0)
+        fresh = BucketAndBallsModel(small_config(capacity=10))
+        assert model.run(200) == fresh.run(200)
+        assert model._p0_balls == fresh._p0_balls
+        assert model._p1_balls == fresh._p1_balls
+
 
 class TestSpills:
     def test_capacity_at_average_spills_often(self):
