@@ -9,16 +9,18 @@ by the hierarchy layer.
 Storage layout: instead of a ``CacheLine`` dataclass per way, the cache
 keeps one flat column per field (coherence state, line address, owning
 core, SDID, reused bit, replacement state, fill epoch), indexed by
-``set * ways + way``.  The hot path is :meth:`access_fast`, which
-returns an ``ACC_*`` flag int and publishes any victim through the
-``victim_*`` instance fields - no per-access allocation.  The public
-:meth:`access` wraps it in the historical :class:`AccessResult` API.
-Behaviour is bit-identical to the object-model reference in
+``set * ways + way``.  The hot path is ``access_fast``, a hand-written
+closure built once per instance (:meth:`SetAssociativeCache._build_step`),
+which returns an ``ACC_*`` flag int and publishes any victim through
+the ``victim_*`` instance fields - no per-access allocation.  The
+public :meth:`access` wraps it in the historical :class:`AccessResult`
+API.  Behaviour is bit-identical to the object-model reference in
 ``repro.reference.set_assoc`` (enforced by the differential tests).
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Optional
 
 from ..common.config import CacheGeometry
@@ -78,13 +80,6 @@ class SetAssociativeCache:
                 "(use repro.reference.set_assoc.SetAssociativeCache for the object interface)"
             )
         self._policy = policy if not isinstance(policy, str) else make_packed_policy(policy, seed=seed)
-        # Policy hooks bound once (hot path: one per access / fill).
-        self._policy_on_hit = self._policy.on_hit
-        self._policy_on_fill = self._policy.on_fill
-        self._policy_victim = self._policy.victim
-        # LRU (every private L1/L2) is special-cased inline in the hot
-        # paths; the policy object's clock stays authoritative.
-        self._lru = type(self._policy) is PackedLRUPolicy
         self._ways = geometry.ways
         self._set_mask = geometry.sets - 1
         total = geometry.sets * geometry.ways
@@ -102,15 +97,14 @@ class SetAssociativeCache:
         self._epoch = [0] * total
         #: line_addr -> flat index (set * ways + way) for O(1) lookup.
         self._where: Dict[int, int] = {}
-        self._where_get = self._where.get  # bound once; never rebound
         self.stats = CacheStats()
-        self._fill_epoch = 0
         # Victim fields of the access_fast protocol (valid until the
         # next access after a result with ACC_EVICTED set).
         self.victim_addr = 0
         self.victim_core = -1
         self.victim_sdid = 0
         self.victim_reused = False
+        self.access_fast = self._build_step()
 
     # -- lookup ---------------------------------------------------------
 
@@ -130,105 +124,127 @@ class SetAssociativeCache:
 
     # -- main access path -------------------------------------------------
 
-    def access_fast(
-        self,
-        line_addr: int,
-        is_write: bool = False,
-        core_id: int = 0,
-        is_writeback: bool = False,
-        sdid: int = 0,
-    ) -> int:
-        """One access with no allocation; returns ``ACC_*`` flags.
+    def _build_step(self):
+        """Build the per-access step bound as ``self.access_fast``.
 
-        Writeback accesses (``is_writeback=True``) model dirty evictions
-        arriving from an upper level: a hit marks the line dirty, a miss
-        allocates a dirty line (non-inclusive LLC behaviour).
+        ``access_fast(line_addr, is_write=False, core_id=0,
+        is_writeback=False, sdid=0)`` is one access with no allocation;
+        it returns ``ACC_*`` flags and publishes any victim in the
+        ``victim_*`` fields.  Writeback accesses (``is_writeback=True``)
+        model dirty evictions arriving from an upper level: a hit marks
+        the line dirty, a miss allocates a dirty line (non-inclusive LLC
+        behaviour).  LRU (every private L1/L2) runs inline, with the
+        policy object's clock authoritative; other policies go through
+        the packed policy hooks.
+
+        Columns, stats and config values are closure locals read once
+        here.  The instance is reached only through a weak proxy, so
+        the step in the instance dict forms no reference cycle with it.
         """
-        idx = self._where_get(line_addr, -1)
+        cache = weakref.proxy(self)
         st = self.stats
-        st.accesses += 1
-        if idx >= 0:
-            st.hits += 1
+        state = self._state
+        addr_col = self._addr
+        core_col = self._core
+        sdid_col = self._sdid
+        reused_col = self._reused
+        repl = self._repl
+        epoch_col = self._epoch
+        where = self._where
+        where_get = where.get
+        policy = self._policy
+        lru = type(policy) is PackedLRUPolicy
+        on_hit = policy.on_hit
+        on_fill = policy.on_fill
+        victim = policy.victim
+        ways = self._ways
+        set_mask = self._set_mask
+        total_lines = self._total_lines
+        fill_epoch = 0
+
+        def access_fast(line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
+            """One access; returns ``ACC_*`` flags (see ``_build_step``)."""
+            nonlocal fill_epoch
+            idx = where_get(line_addr, -1)
+            st.accesses += 1
+            if idx >= 0:
+                st.hits += 1
+                if is_writeback:
+                    st.writebacks_received += 1
+                    # A writeback is the line's own dirty data returning,
+                    # not a reuse; only demand hits count for dead-block
+                    # stats.
+                    state[idx] = _MODIFIED
+                else:
+                    st.demand_accesses += 1
+                    st.demand_hits += 1
+                    reused_col[idx] = 1
+                    if is_write:
+                        state[idx] = _MODIFIED
+                if lru:
+                    policy._clock = clock = policy._clock + 1
+                    repl[idx] = clock
+                else:
+                    on_hit(repl, idx)
+                return ACC_HIT
+            st.misses += 1
             if is_writeback:
                 st.writebacks_received += 1
-                # A writeback is the line's own dirty data returning, not
-                # a reuse; only demand hits count for dead-block stats.
-                self._state[idx] = _MODIFIED
             else:
                 st.demand_accesses += 1
-                st.demand_hits += 1
-                self._reused[idx] = 1
-                if is_write:
-                    self._state[idx] = _MODIFIED
-            if self._lru:
-                policy = self._policy
-                policy._clock += 1
-                self._repl[idx] = policy._clock
+                pcm = st.per_core_misses
+                pcm[core_id] = pcm.get(core_id, 0) + 1
+            base = (line_addr & set_mask) * ways
+            if len(where) == total_lines:
+                idx = -1  # every line valid: the invalid-way scan cannot hit
             else:
-                self._policy_on_hit(self._repl, idx)
-            return ACC_HIT
-        st.misses += 1
-        if is_writeback:
-            st.writebacks_received += 1
-        else:
-            st.demand_accesses += 1
-            pcm = st.per_core_misses
-            pcm[core_id] = pcm.get(core_id, 0) + 1
-        # _fill_fast inlined (hot path; behaviour identical).
-        ways = self._ways
-        base = (line_addr & self._set_mask) * ways
-        state = self._state
-        repl = self._repl
-        where = self._where
-        if len(where) == self._total_lines:
-            idx = -1  # every line valid: the invalid-way scan cannot hit
-        else:
-            idx = state.find(_INVALID, base, base + ways)
-        flags = 0
-        if idx < 0:
-            if self._lru:
-                window = repl[base : base + ways]
-                idx = base + window.index(min(window))
+                idx = state.find(_INVALID, base, base + ways)
+            flags = 0
+            if idx < 0:
+                if lru:
+                    window = repl[base : base + ways]
+                    idx = base + window.index(min(window))
+                else:
+                    idx = victim(repl, base, ways)
+                # _evict_fast without the state reset (the fill below
+                # overwrites the slot).
+                vstate = state[idx]
+                addr = addr_col[idx]
+                vcore = core_col[idx]
+                vreused = reused_col[idx]
+                cache.victim_addr = addr
+                cache.victim_core = vcore
+                cache.victim_sdid = sdid_col[idx]
+                cache.victim_reused = True if vreused else False
+                st.evictions += 1
+                if vstate >= _DIRTY_MIN:
+                    st.dirty_evictions += 1
+                    flags = ACC_EVICTED | ACC_EVICTED_DIRTY
+                else:
+                    flags = ACC_EVICTED
+                if not vreused:
+                    st.dead_evictions += 1
+                if vcore >= 0 and vcore != core_id:
+                    st.interference_evictions += 1
+                del where[addr]
+            state[idx] = _MODIFIED if is_write or is_writeback else _EXCLUSIVE
+            addr_col[idx] = line_addr
+            core_col[idx] = core_id
+            sdid_col[idx] = sdid
+            reused_col[idx] = 0
+            fill_epoch += 1
+            epoch_col[idx] = fill_epoch
+            where[line_addr] = idx
+            if lru:
+                policy._clock = clock = policy._clock + 1
+                repl[idx] = clock
             else:
-                idx = self._policy_victim(repl, base, ways)
-            # _evict_fast inlined (hot path; behaviour identical).
-            vstate = state[idx]
-            vdirty = vstate >= _DIRTY_MIN
-            addr = self._addr[idx]
-            vcore = self._core[idx]
-            reused = self._reused[idx]
-            self.victim_addr = addr
-            self.victim_core = vcore
-            self.victim_sdid = self._sdid[idx]
-            self.victim_reused = bool(reused)
-            st.evictions += 1
-            if vdirty:
-                st.dirty_evictions += 1
-                flags = ACC_EVICTED | ACC_EVICTED_DIRTY
-            else:
-                flags = ACC_EVICTED
-            if not reused:
-                st.dead_evictions += 1
-            if vcore >= 0 and vcore != core_id:
-                st.interference_evictions += 1
-            del where[addr]
-        state[idx] = _MODIFIED if is_write or is_writeback else _EXCLUSIVE
-        self._addr[idx] = line_addr
-        self._core[idx] = core_id
-        self._sdid[idx] = sdid
-        self._reused[idx] = 0
-        self._fill_epoch += 1
-        self._epoch[idx] = self._fill_epoch
-        where[line_addr] = idx
-        if self._lru:
-            policy = self._policy
-            policy._clock += 1
-            repl[idx] = policy._clock
-        else:
-            self._policy_on_fill(repl, base, ways, idx)
-        st.fills += 1
-        st.data_fills += 1
-        return flags
+                on_fill(repl, base, ways, idx)
+            st.fills += 1
+            st.data_fills += 1
+            return flags
+
+        return access_fast
 
     def access(
         self,
@@ -240,8 +256,8 @@ class SetAssociativeCache:
     ) -> AccessResult:
         """Perform one access; fills on miss (allocate-on-miss).
 
-        Boundary wrapper over :meth:`access_fast` returning the
-        historical :class:`AccessResult` dataclass.
+        Boundary wrapper over ``access_fast`` returning the historical
+        :class:`AccessResult` dataclass.
         """
         flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
         if flags & ACC_HIT:

@@ -23,18 +23,20 @@ makes this astronomically rare - Section IV quantifies it, and the
 ``on_sae`` policy here lets experiments count, raise on, or rekey
 after one.
 
-The hot path is :meth:`MayaCache.access_fast`, which works directly on
-the tag store's packed columns, returns an ``ACC_*`` flag int, and
-publishes any writeback through the ``victim_*`` instance fields - no
-per-access allocation.  The public :meth:`MayaCache.access` wraps it in
-the historical :class:`AccessResult` API.  Behaviour - including RNG
-draw order and every statistics counter - is bit-identical to the
-object-model reference in ``repro.reference.maya`` (enforced by the
-differential tests).
+The hot path is ``MayaCache.access_fast``, a hand-written closure
+built once per instance (:meth:`MayaCache._build_step`) that works
+directly on the tag store's packed columns, returns an ``ACC_*`` flag
+int, and publishes any writeback through the ``victim_*`` instance
+fields - no per-access allocation.  The public :meth:`MayaCache.access`
+wraps it in the historical :class:`AccessResult` API.  Behaviour -
+including RNG draw order and every statistics counter - is
+bit-identical to the object-model reference in ``repro.reference.maya``
+(enforced by the differential tests).
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Optional
 
 from ..common.config import MayaConfig
@@ -100,27 +102,12 @@ class MayaCache:
         self._on_sae = on_sae
         self._global_tag_eviction = global_tag_eviction
         self.tags = SkewedTagStore(self.config)
-        # Resolve the skew-selection dispatch once (hot path), and bind
-        # the location-map probe (the tag store never replaces the dict).
+        # Resolve the skew-selection dispatch once (hot path).
         self._pick_skew = (
             self.tags.pick_skew_load_aware
             if skew_policy == "load_aware"
             else self.tags.pick_skew_random
         )
-        # The dominant install path inlines the two-skew load-aware
-        # pick; anything else dispatches through _pick_skew.
-        self._fast_pick = skew_policy == "load_aware" and self.tags._skews == 2
-        rand = self.tags.randomizer
-        bits = rand._index_bits
-        # ... and, for the splitmix hash, the mixer itself (keys are
-        # re-read per miss because rekey() replaces them).  The XOR
-        # fold over 64/bits chunks is precomputed as shift offsets:
-        # masking distributes over XOR, so the chunk fold equals
-        # ``(x ^ x>>bits ^ x>>2*bits ^ ...) & mask`` for any width.
-        self._fast_mix = self._fast_pick and rand._algorithm == "splitmix"
-        self._mix_shifts = tuple(range(bits, 64, bits))
-        self._mix_mask = (1 << bits) - 1
-        self._tag_where_get = self.tags._where.get
         self.data = DataStore(self.config.data_entries, seed=derive_seed(self.config.rng_seed, 3))
         self._rng = make_rng(derive_seed(self.config.rng_seed, 4))
         self.stats = CacheStats()
@@ -142,42 +129,95 @@ class MayaCache:
         self.victim_core = -1
         self.victim_sdid = 0
         self.victim_reused = False
+        self.access_fast = self._build_step()
 
-    # -- public API --------------------------------------------------------
+    def _build_step(self):
+        """Build the per-access step bound as ``self.access_fast``.
 
-    def access_fast(
-        self,
-        line_addr: int,
-        is_write: bool = False,
-        core_id: int = 0,
-        is_writeback: bool = False,
-        sdid: int = 0,
-    ) -> int:
-        """One LLC access with no allocation; returns ``ACC_*`` flags.
+        ``access_fast(line_addr, is_write=False, core_id=0,
+        is_writeback=False, sdid=0)`` is one LLC access with no
+        allocation; it returns ``ACC_*`` flags and, when
+        ``ACC_EVICTED`` is set, publishes the writeback in the
+        ``victim_*`` fields until the next access.  The priority-1 hit
+        and the dominant priority-0 install (Fig. 5a) run inline over
+        the tag store's packed columns; promotion, priority-1 installs
+        and SAE handling call the methods below.
 
-        When ``ACC_EVICTED`` is set, the produced writeback is published
-        in the ``victim_*`` fields until the next access.  The secure
-        lookup adds the constant :data:`SECURE_LOOKUP_EXTRA_CYCLES` on
-        every access (the hierarchy accounts for it).
+        Columns, stats and config values are closure locals read once
+        here (flush and rekey mutate every structure in place, so the
+        bindings stay valid).  The instance itself is reached only
+        through a weak proxy: the step lives in the instance dict, and
+        a strong reference back would form a cycle that keeps the whole
+        cache alive until the cyclic GC runs.
         """
+        llc = weakref.proxy(self)
         tags = self.tags
-        tag_idx = self._tag_where_get((line_addr << 16) | sdid)
+        rand = tags.randomizer
         st = self.stats
-        st.accesses += 1
-        if tag_idx is not None:
-            if tags._state[tag_idx] == _P1:
-                st.hits += 1
+        state = tags._state
+        addr_col = tags._addr
+        sdid_col = tags._sdid
+        core_col = tags._core
+        dirty_col = tags._dirty
+        reused_col = tags._reused
+        fptr_col = tags._fptr
+        valid_count = tags._valid_count
+        pool = tags._p0_pool
+        pos_map = tags._p0_pos
+        where = tags._where
+        where_get = where.get
+        memo = rand._memo
+        memo_pop = memo.pop
+        precomputed_get = rand._precomputed.get
+        raw_indices = rand._raw_indices
+        randbelow = tags._randbelow
+        pick_skew = self._pick_skew
+        window = self._evicted_p0_window
+        ways = tags._ways
+        sets = tags._sets
+        memo_capacity = rand._memo_capacity
+        p0_capacity = self._p0_capacity
+        window_size = self._evicted_p0_window_size
+        global_tag_eviction = self._global_tag_eviction
+        # Two skews with load-aware selection (the paper's design
+        # point) inline the pick; for the splitmix hash also the mixer
+        # (keys are re-read per miss because rekey() replaces them).
+        # The XOR fold over 64/bits chunks is precomputed as shift
+        # offsets: masking distributes over XOR, so the chunk fold
+        # equals ``(x ^ x>>bits ^ x>>2*bits ^ ...) & mask``.
+        fast_pick = self._skew_policy == "load_aware" and tags._skews == 2
+        fast_mix = fast_pick and rand._algorithm == "splitmix"
+        bits = rand._index_bits
+        shifts = tuple(range(bits, 64, bits))
+        mask = (1 << bits) - 1
+
+        def access_fast(line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
+            """One LLC access; returns ``ACC_*`` flags (see ``_build_step``)."""
+            tag_idx = where_get((line_addr << 16) | sdid)
+            st.accesses += 1
+            if tag_idx is not None:
+                if state[tag_idx] == _P1:
+                    st.hits += 1
+                    if is_writeback:
+                        st.writebacks_received += 1
+                        dirty_col[tag_idx] = 1
+                    else:
+                        st.demand_accesses += 1
+                        st.demand_hits += 1
+                        reused_col[tag_idx] = 1
+                        if is_write:
+                            dirty_col[tag_idx] = 1
+                    return ACC_HIT
+                # Priority-0 tag hit: promotion (data itself is a miss).
+                st.misses += 1
                 if is_writeback:
                     st.writebacks_received += 1
-                    tags._dirty[tag_idx] = 1
                 else:
                     st.demand_accesses += 1
-                    st.demand_hits += 1
-                    tags._reused[tag_idx] = 1
-                    if is_write:
-                        tags._dirty[tag_idx] = 1
-                return ACC_HIT
-            # Priority-0 tag hit: promotion (data itself is a miss).
+                    pcm = st.per_core_misses
+                    pcm[core_id] = pcm.get(core_id, 0) + 1
+                st.tag_only_hits += 1
+                return ACC_TAG_HIT | llc._promote(tag_idx, is_write or is_writeback, core_id)
             st.misses += 1
             if is_writeback:
                 st.writebacks_received += 1
@@ -185,20 +225,116 @@ class MayaCache:
                 st.demand_accesses += 1
                 pcm = st.per_core_misses
                 pcm[core_id] = pcm.get(core_id, 0) + 1
-            st.tag_only_hits += 1
-            return ACC_TAG_HIT | self._promote(tag_idx, is_write or is_writeback, core_id)
+            if is_write or is_writeback:
+                return llc._install_priority1(line_addr, sdid, core_id)
+            # Demand tag miss: fill a tag-only entry.
+            llc.installs += 1
+            if window.pop((line_addr, sdid), None):
+                llc.premature_p0_evictions += 1
+            flags = 0
+            if fast_pick:
+                # pick_skew_load_aware for two skews: same memo LRU
+                # discipline, counter updates and tie-break draw.
+                mkey = (line_addr, sdid)
+                indices = memo_pop(mkey, None)
+                if indices is None:
+                    rand.cache_misses += 1
+                    # A bulk_map / load_packed pretranslation satisfies
+                    # the miss before any cipher work.
+                    indices = precomputed_get(mkey)
+                    if indices is None:
+                        if fast_mix:
+                            k0, k1 = rand._mix_keys
+                            tweaked = line_addr ^ (sdid << 56)
+                            x = (tweaked ^ k0) & 0xFFFFFFFFFFFFFFFF
+                            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+                            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+                            x ^= x >> 31
+                            f0 = x
+                            for s in shifts:
+                                f0 ^= x >> s
+                            x = (tweaked ^ k1) & 0xFFFFFFFFFFFFFFFF
+                            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+                            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+                            x ^= x >> 31
+                            f1 = x
+                            for s in shifts:
+                                f1 ^= x >> s
+                            indices = (f0 & mask, f1 & mask)
+                        else:
+                            indices = raw_indices(line_addr, sdid)
+                    if len(memo) >= memo_capacity:
+                        del memo[next(iter(memo))]
+                else:
+                    rand.cache_hits += 1
+                memo[mkey] = indices
+                i0 = indices[0]
+                i1 = indices[1]
+                l0 = valid_count[i0]
+                l1 = valid_count[sets + i1]
+                if l0 < l1:
+                    skew = 0
+                    set_idx = i0
+                elif l1 < l0:
+                    skew = 1
+                    set_idx = i1
+                elif randbelow(2):
+                    skew = 1
+                    set_idx = i1
+                else:
+                    skew = 0
+                    set_idx = i0
+            else:
+                skew, set_idx = pick_skew(line_addr, sdid)
+            base = (skew * sets + set_idx) * ways
+            slot = state.find(0, base, base + ways)
+            if slot < 0:
+                flags = llc._handle_sae(skew, set_idx)
+                slot = state.find(0, base, base + ways)
+                if slot < 0:
+                    raise SimulationError("no invalid way even after SAE handling")
+            # SkewedTagStore.install(slot, ..., priority1=False).
+            addr_col[slot] = line_addr
+            sdid_col[slot] = sdid
+            core_col[slot] = core_id
+            dirty_col[slot] = 0
+            reused_col[slot] = 0
+            state[slot] = _P0
+            fptr_col[slot] = NO_DATA
+            pos_map[slot] = n = len(pool)
+            pool.append(slot)
+            valid_count[slot // ways] += 1
+            where[(line_addr << 16) | sdid] = slot
+            st.fills += 1
+            n += 1
+            if global_tag_eviction and n > p0_capacity:
+                # Global random tag eviction: random_priority0
+                # (excluding the fresh install) + invalidate_fast.
+                if n == 1:
+                    raise SimulationError("priority-0 pool over capacity but empty")
+                i = randbelow(n)
+                victim = pool[i]
+                if victim == slot:
+                    victim = pool[(i + 1) % n]
+                victim_addr = addr_col[victim]
+                victim_sdid = sdid_col[victim]
+                window[(victim_addr, victim_sdid)] = True
+                if len(window) > window_size:
+                    del window[next(iter(window))]
+                pos = pos_map[victim]
+                last = pool.pop()
+                if last != victim:
+                    pool[pos] = last
+                    pos_map[last] = pos
+                valid_count[victim // ways] -= 1
+                del where[(victim_addr << 16) | victim_sdid]
+                state[victim] = 0
+                st.tag_evictions += 1
+            return flags
 
-        # Tag miss.
-        st.misses += 1
-        if is_writeback:
-            st.writebacks_received += 1
-        else:
-            st.demand_accesses += 1
-            pcm = st.per_core_misses
-            pcm[core_id] = pcm.get(core_id, 0) + 1
-        if is_write or is_writeback:
-            return self._install_priority1(line_addr, sdid, core_id)
-        return self._install_priority0(line_addr, sdid, core_id)
+        return access_fast
+
+    # -- public API --------------------------------------------------------
 
     def access(
         self,
@@ -210,8 +346,8 @@ class MayaCache:
     ) -> AccessResult:
         """One LLC access; returns hit/miss plus any writeback produced.
 
-        Boundary wrapper over :meth:`access_fast` returning the
-        historical :class:`AccessResult` dataclass.
+        Boundary wrapper over ``access_fast`` returning the historical
+        :class:`AccessResult` dataclass.
         """
         flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
         if flags & ACC_HIT:
@@ -357,130 +493,6 @@ class MayaCache:
         self.data.free(victim_data)
         tags.demote(victim_tag_idx)
         return ACC_EVICTED | ACC_EVICTED_DIRTY if dirty else ACC_EVICTED
-
-    def _install_priority0(self, line_addr: int, sdid: int, core_id: int) -> int:
-        """Demand tag miss: fill a tag-only entry (Fig. 5a events).
-
-        This is the dominant miss path, so the tag-store operations
-        (install, random priority-0 pick, invalidate) are inlined here;
-        each is behaviourally identical to the ``SkewedTagStore`` method
-        of the same name (the differential tests enforce it).
-        """
-        self.installs += 1
-        window = self._evicted_p0_window
-        if window.pop((line_addr, sdid), None):
-            self.premature_p0_evictions += 1
-        flags = 0
-        tags = self.tags
-        ways = tags._ways
-        state = tags._state
-        if self._fast_pick:
-            # pick_skew_load_aware inlined for two skews (the hottest
-            # call on the install path): same memo LRU discipline,
-            # counter updates, and tie-break draw.
-            rand = tags.randomizer
-            memo = rand._memo
-            mkey = (line_addr, sdid)
-            indices = memo.pop(mkey, None)
-            if indices is None:
-                rand.cache_misses += 1
-                # Same miss discipline as IndexRandomizer._lookup: a
-                # bulk_map / load_packed pretranslation satisfies the
-                # miss before any cipher work.
-                indices = rand._precomputed.get(mkey)
-                if indices is None and self._fast_mix:
-                    # IndexRandomizer._raw_indices (splitmix, two
-                    # skews) inlined - the cipher pass per install
-                    # miss.  Identical mixing; the precomputed-shift
-                    # XOR fold equals the chunk fold for any width.
-                    k0, k1 = rand._mix_keys
-                    shifts = self._mix_shifts
-                    m = self._mix_mask
-                    tweaked = line_addr ^ (sdid << 56)
-                    x = (tweaked ^ k0) & 0xFFFFFFFFFFFFFFFF
-                    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-                    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-                    x ^= x >> 31
-                    f0 = x
-                    for s in shifts:
-                        f0 ^= x >> s
-                    x = (tweaked ^ k1) & 0xFFFFFFFFFFFFFFFF
-                    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-                    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-                    x ^= x >> 31
-                    f1 = x
-                    for s in shifts:
-                        f1 ^= x >> s
-                    indices = (f0 & m, f1 & m)
-                elif indices is None:
-                    indices = rand._raw_indices(line_addr, sdid)
-                if len(memo) >= rand._memo_capacity:
-                    del memo[next(iter(memo))]
-            else:
-                rand.cache_hits += 1
-            memo[mkey] = indices
-            vc = tags._valid_count
-            i0 = indices[0]
-            i1 = indices[1]
-            l0 = vc[i0]
-            l1 = vc[tags._sets + i1]
-            if l0 < l1:
-                skew, set_idx = 0, i0
-            elif l1 < l0:
-                skew, set_idx = 1, i1
-            elif tags._randbelow(2):
-                skew, set_idx = 1, i1
-            else:
-                skew, set_idx = 0, i0
-        else:
-            skew, set_idx = self._pick_skew(line_addr, sdid)
-        base = (skew * tags._sets + set_idx) * ways
-        slot = state.find(0, base, base + ways)
-        if slot < 0:
-            flags = self._handle_sae(skew, set_idx)
-            slot = state.find(0, base, base + ways)
-            if slot < 0:
-                raise SimulationError("no invalid way even after SAE handling")
-        # install(slot, ..., priority1=False), inlined.
-        tags._addr[slot] = line_addr
-        tags._sdid[slot] = sdid
-        tags._core[slot] = core_id
-        tags._dirty[slot] = 0
-        tags._reused[slot] = 0
-        state[slot] = _P0
-        tags._fptr[slot] = NO_DATA
-        pool = tags._p0_pool
-        pos_map = tags._p0_pos
-        pos_map[slot] = n = len(pool)
-        pool.append(slot)
-        tags._valid_count[slot // ways] += 1
-        tags._where[(line_addr << 16) | sdid] = slot
-        self.stats.fills += 1
-        n += 1
-        if self._global_tag_eviction and n > self._p0_capacity:
-            # Global random tag eviction, inlined: random_priority0
-            # (excluding the fresh install) + invalidate_fast.
-            if n == 1:
-                raise SimulationError("priority-0 pool over capacity but empty")
-            i = tags._randbelow(n)
-            victim = pool[i]
-            if victim == slot:
-                victim = pool[(i + 1) % n]
-            victim_addr = tags._addr[victim]
-            victim_sdid = tags._sdid[victim]
-            window[(victim_addr, victim_sdid)] = True
-            if len(window) > self._evicted_p0_window_size:
-                del window[next(iter(window))]
-            pos = pos_map[victim]
-            last = pool.pop()
-            if last != victim:
-                pool[pos] = last
-                pos_map[last] = pos
-            tags._valid_count[victim // ways] -= 1
-            del tags._where[(victim_addr << 16) | victim_sdid]
-            state[victim] = 0
-            self.stats.tag_evictions += 1
-        return flags
 
     def _install_priority1(self, line_addr: int, sdid: int, core_id: int) -> int:
         """Write/writeback tag miss: fill tag + data (Fig. 5c events)."""

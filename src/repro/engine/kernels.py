@@ -46,7 +46,7 @@ def splitmix_indices(line_addrs, keys: Sequence[int], index_bits: int, sdid: int
     """Per-skew set indices for a batch of line addresses (splitmix64).
 
     Vectorized mirror of the inline mixer in
-    ``MayaCache._install_priority0`` /
+    ``MayaCache.access_fast`` /
     ``IndexRandomizer._raw_indices``: for every key, XOR the tweaked
     address with the key, run the splitmix64 finalizer, and XOR-fold
     the 64-bit word down to ``index_bits``.  Returns one

@@ -26,14 +26,13 @@ with precomputed exact sums.
   :func:`_timing_exact` verifies these preconditions against the
   actual config and declines the replay when they fail.
 * *State.*  Every op executes through the LLC's own ``access_fast``
-  step - the config-specialized one when :mod:`repro.engine.specialize`
-  installed it - and the live DRAM model, so cache state evolves
-  exactly as under the per-access drive, SAEs, rekeys and memo
-  evictions included.
+  step - the same hand-written closure the per-access drive calls - and
+  the live DRAM model, so cache state evolves exactly as under the
+  per-access drive, SAEs, rekeys and memo evictions included.
 
 :func:`create_vector_replay` returns ``(None, reason)`` whenever a
 precondition fails; ``run_mix`` then keeps the per-access drive, which
-is also the differential oracle (``specialize=False``).
+is also the drive-path oracle in the differential tests.
 """
 
 from __future__ import annotations
@@ -256,7 +255,7 @@ class VectorReplay:
                     continue
                 columns = splitmix_indices(unique, rand._mix_keys, rand.index_bits, sdid=core)
                 keys = [(a, core) for a in unique.tolist()]
-                pre.update(zip(keys, zip(columns[0].tolist(), columns[1].tolist())))
+                pre.update(zip(keys, zip(*[c.tolist() for c in columns])))
                 installed += len(keys)
             else:
                 installed += rand.bulk_map(unique.tolist(), sdid=core)
@@ -327,10 +326,8 @@ class VectorReplay:
         closure in ``run_mix`` (same ``clocks``/``instructions``
         contract, warm-up then measurement): identical ordering (the
         packed-key merge), identical clocks (the integer grid), and
-        bit-identical state because each op runs the cache's own step -
-        the config-specialized generated one when
-        :mod:`repro.engine.specialize` installed it.  Nothing here is
-        specific to one LLC design, and hazards (SAE, rekey,
+        bit-identical state because each op runs the cache's own
+        ``access_fast`` step.  Nothing here is specific to one LLC design, and hazards (SAE, rekey,
         memo-capacity evictions) need no special handling: there is no
         batched state to invalidate.
         """

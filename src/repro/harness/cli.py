@@ -44,7 +44,6 @@ import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import runner
-from ..engine.specialize import SPECIALIZE_ENV
 from ..service import SERVICE_ENV, resolve_address
 from ..trace.compiled import TRACE_CACHE_ENV
 from .presets import MEMO_CAPACITY_ENV
@@ -205,13 +204,6 @@ def campaign_main(argv: List[str]) -> int:
         help="scorecard output path (default results/SCORECARD.json)",
     )
     parser.add_argument(
-        "--specialize", choices=("0", "1"), default=None,
-        help="config-specialized step codegen: 1 (default) or 0 for "
-        "the generic differential oracle (exported as %s so --jobs "
-        "workers inherit it; the scorecard is byte-identical either "
-        "way)" % SPECIALIZE_ENV,
-    )
-    parser.add_argument(
         "--service", default=None, metavar="ADDR",
         help="drain the campaign's (design x attack) shards through a "
         "resident simulation service (default from %s when set); the "
@@ -222,9 +214,6 @@ def campaign_main(argv: List[str]) -> int:
         help="write the runner summary (timings, report text) to PATH",
     )
     args = parser.parse_args(argv)
-
-    if args.specialize is not None:
-        os.environ[SPECIALIZE_ENV] = args.specialize
 
     designs = args.designs.split(",") if args.designs else None
     attacks = args.attacks.split(",") if args.attacks else None
@@ -299,13 +288,6 @@ def main(argv=None) -> int:
         "in-process instead of loaded from results/.trace_cache)" % TRACE_CACHE_ENV,
     )
     parser.add_argument(
-        "--specialize", choices=("0", "1"), default=None,
-        help="config-specialized step codegen: 1 (default; generated "
-        "per-config step functions plus the op-stream replay) or 0 for the generic differential oracle (bit-identical "
-        "results, exported as %s so --jobs workers inherit it)"
-        % SPECIALIZE_ENV,
-    )
-    parser.add_argument(
         "--service", default=None, metavar="ADDR",
         help="drain the grid through a resident simulation service "
         "(HOST:PORT; default from %s when set).  Results are "
@@ -321,9 +303,6 @@ def main(argv=None) -> int:
 
     if args.no_trace_cache:
         os.environ[TRACE_CACHE_ENV] = "0"
-
-    if args.specialize is not None:
-        os.environ[SPECIALIZE_ENV] = args.specialize
 
     if args.memo_capacity is not None:
         if args.memo_capacity <= 0:

@@ -276,8 +276,6 @@ def summary_dict(
     extra: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """The ``--json`` payload: per-task timing plus sweep metadata."""
-    from ..engine.specialize import resolve_specialize
-
     try:
         import numpy
 
@@ -290,7 +288,6 @@ def summary_dict(
         "schema": "repro.harness.runner/1",
         "jobs": jobs,
         "wall_seconds": wall_seconds,
-        "specialize": resolve_specialize(None),
         "numpy": numpy_version,
         "task_seconds": sum(r.seconds for r in results),
         "ok": all(r.ok for r in results),

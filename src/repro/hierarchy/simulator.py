@@ -11,13 +11,13 @@ collected after a warm-up phase, following the paper's methodology
 Every run replays :class:`~repro.trace.compiled.CompiledTrace` packed
 columns, on one of two drive paths with bit-identical results:
 
-* the **op-stream replay** (the fast path): when specialization
-  installed an LLC step, the cached per-core op streams replay through
+* the **op-stream replay** (the fast path): when the LLC has an
+  ``access_fast`` step, the cached per-core op streams replay through
   it (:mod:`repro.engine.vector`), so only accesses that reach the LLC
   or DRAM touch the heap;
 * the **per-access drive** (:func:`_drive_compiled`): every access
-  walks the hierarchy with plain integer indexing.  It is the oracle
-  (``specialize=False``; ``tests/test_opstream_replay.py`` requires
+  walks the hierarchy with plain integer indexing.  It is the
+  drive-path oracle (``tests/test_opstream_replay.py`` requires
   bit-identical ``CacheStats`` and per-core IPCs) and the fallback for
   configurations the replay gates out, with the reason in
   ``MixResult.specialize_info``.
@@ -30,8 +30,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..common.config import SystemConfig
+from ..common.errors import ConfigurationError
 from ..common.rng import derive_seed
-from ..engine.specialize import apply_specialization, resolve_specialize
+from ..engine.specialize import apply_specialization
 from ..llc.interface import LLCache
 from ..trace.compiled import compile_workload
 from ..trace.mixes import Mix
@@ -70,11 +71,11 @@ class MixResult:
     #: run-cache hits and builds); ``None`` when the per-access drive
     #: ran.  Diagnostic only - never part of canonical results.
     engine_info: Optional[dict] = None
-    #: Specialization provenance (:mod:`repro.engine.specialize`):
-    #: ``None`` when the generic engines ran (``REPRO_SPECIALIZE=0``),
-    #: else the template kind installed on the LLC (or the fallback
-    #: reason) plus the count of specialized private levels.
-    #: Diagnostic only - never part of canonical results.
+    #: Drive-path provenance: ``llc`` (the design's type name when it
+    #: runs an ``access_fast`` step, else ``None`` with ``llc_reason``)
+    #: and ``replay`` (``"opstream-scalar"``, or ``None`` with the gate
+    #: that declined it in ``replay_reason``).  Diagnostic only - never
+    #: part of canonical results.
     specialize_info: Optional[dict] = None
 
     @property
@@ -156,7 +157,6 @@ def run_mix(
     trace_cache: Optional[bool] = None,
     pretranslate: Optional[bool] = None,
     translate_jobs: Optional[int] = None,
-    specialize: Optional[bool] = None,
 ) -> MixResult:
     """Simulate ``mix`` over ``llc``; returns per-core IPCs + LLC stats.
 
@@ -187,28 +187,26 @@ def run_mix(
     (``1`` forces serial).  ``trace_cache=False`` also bypasses the
     translated-index cache.
 
-    ``specialize`` selects the config-specialized step functions
-    (:mod:`repro.engine.specialize`): ``None`` honours
-    ``REPRO_SPECIALIZE`` (default on), ``False`` keeps the generic
-    interpreters on the per-access drive (the differential oracle).
-    Specialization is applied after the hierarchy is built and released
-    with it; every caller resolves ``access_fast`` by attribute, so both
-    drive paths pick up the specialized steps.  The op-stream replay
-    runs only when an LLC step was installed: ``specialize_info``
-    records ``"replay"``, or the gate that declined it in
-    ``"replay_reason"``.  Results are bit-identical either way (the
-    ``specialize`` differential suites enforce it); the provenance lands
-    in ``MixResult.specialize_info``, never in canonical results.
+    The op-stream replay runs when the LLC has an ``access_fast``
+    step: ``MixResult.specialize_info`` records ``"replay"``, or the
+    gate that declined it in ``"replay_reason"``.  Results are
+    bit-identical on either drive path (the ``replay`` differential
+    suites enforce it).
+
+    ``accesses_per_core`` and ``warmup_accesses`` must be >= 0 (a
+    measurement phase of 0 still steps every core once).
     """
+    if accesses_per_core < 0 or warmup_accesses < 0:
+        raise ConfigurationError(
+            f"accesses_per_core ({accesses_per_core}) and warmup_accesses "
+            f"({warmup_accesses}) must be >= 0"
+        )
     engine_info: Optional[dict] = None
     config = config or SystemConfig(cores=mix.cores)
     if config.cores < mix.cores:
         raise ValueError(f"mix {mix.name} needs {mix.cores} cores, config has {config.cores}")
     hierarchy = CacheHierarchy(llc, config, enable_prefetch=enable_prefetch)
-    specialization = None
-    specialize_info: Optional[dict] = None
-    if resolve_specialize(specialize):
-        specialization, specialize_info = apply_specialization(llc, hierarchy)
+    specialize_info = apply_specialization(llc)
     llc_lines = config.llc_geometry.lines
     # Per-core regions are huge (no overlap) and deliberately not a
     # multiple of any set count, so different cores' identical access
@@ -267,15 +265,13 @@ def run_mix(
             base_cpi, per_core, model_bandwidth,
         )
 
-    if specialization is not None and specialize_info.get("llc") is not None:
+    if specialize_info["llc"] is not None:
         # The fast path: replay the cached op streams with every op
-        # executed through the generated LLC step (``phase_scalar``),
-        # so the serial LLC state machine runs the specialized code end
-        # to end while the private levels come from the pre-simulated
-        # streams.  Any design with an ``access_fast`` step qualifies;
-        # the gates left are the ones the op streams and the integer
-        # clock grid cannot model.  When any fails, the per-access
-        # drive keeps the specialized steps and the reason lands in
+        # executed through the LLC's ``access_fast`` step
+        # (``phase_scalar``), while the private levels come from the
+        # pre-simulated streams.  The gates left are the ones the op
+        # streams and the integer clock grid cannot model; when any
+        # fails, the per-access drive runs and the reason lands in
         # ``specialize_info``.  Imported lazily: numpy only loads when
         # a replay is attempted.
         from ..engine.vector import create_vector_replay
@@ -308,12 +304,6 @@ def run_mix(
     refresh_mapping_cache = getattr(llc, "refresh_mapping_cache_stats", None)
     if refresh_mapping_cache is not None:
         refresh_mapping_cache()
-    # Restore the generic step functions: the specialized closures hold
-    # references back to their caches, and dropping the instance
-    # bindings keeps per-trial bench loops refcount-clean (post-run
-    # accesses through the generic engine are bit-identical anyway).
-    if specialization is not None:
-        specialization.release()
     # The hierarchy is done; break its compiled-access reference cycle
     # so this trial's working set (mapping memos, trace columns, tag
     # state) frees by refcount when the caller drops `llc` instead of

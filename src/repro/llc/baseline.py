@@ -28,9 +28,9 @@ class BaselineLLC(LLCache):
         self.geometry = geometry or PAPER_BASELINE
         self._cache = SetAssociativeCache(self.geometry, policy=policy, seed=seed, name="LLC")
         self.stats = self._cache.stats
-        # Expose the inner cache's allocation-free hot path directly
-        # (bound method, no delegation frame); the victim_* fields of
-        # the protocol are mirrored by the properties below.
+        # Expose the inner cache's allocation-free step directly (no
+        # delegation frame); the victim_* fields of the protocol are
+        # mirrored by the properties below.
         self.access_fast = self._cache.access_fast
 
     @property

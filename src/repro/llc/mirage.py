@@ -14,13 +14,16 @@ filtering lets it shrink the data store below the baseline instead.
 
 The tag array is stored as packed columns (validity, address, SDID,
 core, FPTR, dirty/reused bits) and the hot path is
-:meth:`MirageCache.access_fast` (``ACC_*`` flag protocol, victim
-published via the ``victim_*`` fields).  Behaviour is bit-identical to
-the object-model reference in ``repro.reference.mirage``.
+``MirageCache.access_fast``, a hand-written closure built once per
+instance (:meth:`MirageCache._build_step`; ``ACC_*`` flag protocol,
+victim published via the ``victim_*`` fields).  Behaviour is
+bit-identical to the object-model reference in
+``repro.reference.mirage``.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Optional
 
 from ..cache.line import (
@@ -101,6 +104,7 @@ class MirageCache(LLCache):
         self.victim_core = -1
         self.victim_sdid = 0
         self.victim_reused = False
+        self.access_fast = self._build_step()
 
     # -- index helpers -------------------------------------------------------
 
@@ -114,60 +118,166 @@ class MirageCache(LLCache):
 
     # -- access path ---------------------------------------------------------
 
-    def access_fast(
-        self,
-        line_addr: int,
-        is_write: bool = False,
-        core_id: int = 0,
-        is_writeback: bool = False,
-        sdid: int = 0,
-    ) -> int:
-        """One access with no allocation; returns ``ACC_*`` flags."""
-        tag_idx = self._where.get((line_addr << 16) | sdid)
+    def _build_step(self):
+        """Build the per-access step bound as ``self.access_fast``.
+
+        ``access_fast(line_addr, is_write=False, core_id=0,
+        is_writeback=False, sdid=0)`` is one access with no allocation;
+        it returns ``ACC_*`` flags and publishes any writeback in the
+        ``victim_*`` fields.  Everything on the access path runs inline:
+        the global random data eviction, the two-skew load-aware pick,
+        the SAE branch and the install.  Other skew policies call
+        :meth:`_pick_skew` and the SAE victim goes through
+        :meth:`_drop_tag`.
+
+        Columns, stats and config values are closure locals read once
+        here (flush and rekey mutate every structure in place).  The
+        instance is reached only through a weak proxy, so the step in
+        the instance dict forms no reference cycle with it.
+        """
+        llc = weakref.proxy(self)
         st = self.stats
-        st.accesses += 1
-        if tag_idx is not None:
-            st.hits += 1
+        valid = self._valid
+        addr_col = self._addr
+        sdid_col = self._sdid
+        core_col = self._core
+        dirty_col = self._dirty
+        reused_col = self._reused
+        fptr_col = self._fptr
+        valid_count = self._valid_count
+        where = self._where
+        where_get = where.get
+        indices_of = self._indices_of
+        rng_randrange = self._rng.randrange
+        data = self.data
+        rptr = data._rptr
+        free_list = data._free
+        free_append = free_list.append
+        free_pop = free_list.pop
+        data_randbelow = data._randbelow
+        data_entries = len(rptr)
+        ways = self._ways
+        sets = self._sets
+        fast_pick = self._skew_policy == "load_aware" and self._skews == 2
+        raise_on_sae = self._on_sae == "raise"
+
+        def access_fast(line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
+            """One access; returns ``ACC_*`` flags (see ``_build_step``)."""
+            key = (line_addr << 16) | sdid
+            tag_idx = where_get(key)
+            st.accesses += 1
+            if tag_idx is not None:
+                st.hits += 1
+                if is_writeback:
+                    st.writebacks_received += 1
+                    dirty_col[tag_idx] = 1
+                else:
+                    st.demand_accesses += 1
+                    st.demand_hits += 1
+                    reused_col[tag_idx] = 1
+                    if is_write:
+                        dirty_col[tag_idx] = 1
+                return ACC_HIT
+            st.misses += 1
             if is_writeback:
                 st.writebacks_received += 1
-                self._dirty[tag_idx] = 1
             else:
                 st.demand_accesses += 1
-                st.demand_hits += 1
-                self._reused[tag_idx] = 1
-                if is_write:
-                    self._dirty[tag_idx] = 1
-            return ACC_HIT
-        st.misses += 1
-        if is_writeback:
-            st.writebacks_received += 1
-        else:
-            st.demand_accesses += 1
-            pcm = st.per_core_misses
-            pcm[core_id] = pcm.get(core_id, 0) + 1
+                pcm = st.per_core_misses
+                pcm[core_id] = pcm.get(core_id, 0) + 1
+            flags = 0
+            llc.installs += 1
+            if not free_list:
+                # Global random eviction first, so a data entry and the
+                # victim's tag slot are free before the new install:
+                # DataStore.random_victim, then _drop_tag.
+                while True:
+                    vd = data_randbelow(data_entries)
+                    if rptr[vd] != -1:
+                        break
+                vt = rptr[vd]
+                if not valid[vt]:
+                    raise SimulationError("dropping an invalid Mirage tag")
+                vdirty = dirty_col[vt]
+                vreused = reused_col[vt]
+                vcore = core_col[vt]
+                vaddr = addr_col[vt]
+                vsd = sdid_col[vt]
+                llc.victim_addr = vaddr
+                llc.victim_core = vcore
+                llc.victim_sdid = vsd
+                llc.victim_reused = True if vreused else False
+                st.evictions += 1
+                if vdirty:
+                    st.dirty_evictions += 1
+                if not vreused:
+                    st.dead_evictions += 1
+                if vcore >= 0 and core_id >= 0 and vcore != core_id:
+                    st.interference_evictions += 1
+                fp = fptr_col[vt]
+                if rptr[fp] == -1:
+                    raise SimulationError("freeing an already-free data entry")
+                rptr[fp] = -1
+                free_append(fp)
+                valid_count[vt // ways] -= 1
+                del where[(vaddr << 16) | vsd]
+                valid[vt] = 0
+                fptr_col[vt] = -1
+                flags = ACC_EVICTED | ACC_EVICTED_DIRTY if vdirty else ACC_EVICTED
+            if fast_pick:
+                indices = indices_of(line_addr, sdid)
+                i0 = indices[0]
+                i1 = indices[1]
+                l0 = valid_count[i0]
+                l1 = valid_count[sets + i1]
+                if l0 < l1:
+                    skew = 0
+                    set_idx = i0
+                elif l1 < l0:
+                    skew = 1
+                    set_idx = i1
+                elif rng_randrange(2):
+                    skew = 1
+                    set_idx = i1
+                else:
+                    skew = 0
+                    set_idx = i0
+            else:
+                skew, set_idx = llc._pick_skew(line_addr, sdid)
+            base = (skew * sets + set_idx) * ways
+            slot = valid.find(0, base, base + ways)
+            if slot < 0:
+                st.saes += 1
+                if raise_on_sae:
+                    raise SetAssociativeEviction(
+                        f"SAE in skew {skew}, set {set_idx}", installs=llc.installs
+                    )
+                victim_way = rng_randrange(ways)
+                # The SAE victim's writeback supersedes the data
+                # eviction's (v1 semantics kept by the reference model).
+                flags = ACC_SAE | llc._drop_tag(base + victim_way, core_id)
+                slot = valid.find(0, base, base + ways)
+            if valid[slot]:
+                raise SimulationError("installing over a valid Mirage tag")
+            valid[slot] = 1
+            addr_col[slot] = line_addr
+            sdid_col[slot] = sdid
+            core_col[slot] = core_id
+            dirty_col[slot] = 1 if is_write or is_writeback else 0
+            reused_col[slot] = 0
+            # DataStore.allocate(slot).
+            if not free_list:
+                raise SimulationError("data store full: evict before allocating")
+            fidx = free_pop()
+            rptr[fidx] = slot
+            fptr_col[slot] = fidx
+            valid_count[slot // ways] += 1
+            where[key] = slot
+            st.fills += 1
+            st.data_fills += 1
+            return flags
 
-        flags = 0
-        self.installs += 1
-        # Global random eviction first, so a data entry and the victim's
-        # tag slot are free before the new install.
-        if self.data.full:
-            flags = self._global_random_eviction(filler_core=core_id)
-        skew, set_idx = self._pick_skew(line_addr, sdid)
-        base = (skew * self._sets + set_idx) * self._ways
-        slot = self._valid.find(0, base, base + self._ways)
-        if slot < 0:
-            st.saes += 1
-            if self._on_sae == "raise":
-                raise SetAssociativeEviction(
-                    f"SAE in skew {skew}, set {set_idx}", installs=self.installs
-                )
-            victim_way = self._rng.randrange(self._ways)
-            # The SAE victim's writeback supersedes the data eviction's
-            # (v1 semantics kept by the reference model).
-            flags = ACC_SAE | self._drop_tag(base + victim_way, filler_core=core_id)
-            slot = self._valid.find(0, base, base + self._ways)
-        self._install(slot, line_addr, sdid, core_id, dirty=is_write or is_writeback)
-        return flags
+        return access_fast
 
     def access(
         self,
@@ -194,46 +304,18 @@ class MirageCache(LLCache):
         )
 
     def _pick_skew(self, line_addr: int, sdid: int):
+        """Skew selection off the step's inline two-skew load-aware pick:
+        random selection, or load-aware over more than two skews."""
         indices = self._indices_of(line_addr, sdid)
         if self._skew_policy == "random":
             skew = self._rng.randrange(self._skews)
             return skew, indices[skew]
         vc = self._valid_count
-        if self._skews == 2:
-            i0 = indices[0]
-            i1 = indices[1]
-            l0 = vc[i0]
-            l1 = vc[self._sets + i1]
-            if l0 < l1:
-                return 0, i0
-            if l1 < l0:
-                return 1, i1
-            skew = self._rng.randrange(2)
-            return (1, i1) if skew else (0, i0)
         loads = [vc[s * self._sets + indices[s]] for s in range(self._skews)]
         best = min(loads)
         candidates = [s for s, load in enumerate(loads) if load == best]
         skew = candidates[self._rng.randrange(len(candidates))] if len(candidates) > 1 else candidates[0]
         return skew, indices[skew]
-
-    def _install(self, tag_idx: int, line_addr: int, sdid: int, core_id: int, dirty: bool) -> None:
-        if self._valid[tag_idx]:
-            raise SimulationError("installing over a valid Mirage tag")
-        self._valid[tag_idx] = 1
-        self._addr[tag_idx] = line_addr
-        self._sdid[tag_idx] = sdid
-        self._core[tag_idx] = core_id
-        self._dirty[tag_idx] = 1 if dirty else 0
-        self._reused[tag_idx] = 0
-        self._fptr[tag_idx] = self.data.allocate(tag_idx)
-        self._valid_count[tag_idx // self._ways] += 1
-        self._where[(line_addr << 16) | sdid] = tag_idx
-        self.stats.fills += 1
-        self.stats.data_fills += 1
-
-    def _global_random_eviction(self, filler_core: int) -> int:
-        victim_data = self.data.random_victim()
-        return self._drop_tag(self.data.rptr_of(victim_data), filler_core=filler_core)
 
     def _drop_tag(self, tag_idx: int, filler_core: int) -> int:
         if not self._valid[tag_idx]:

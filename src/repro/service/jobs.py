@@ -40,7 +40,6 @@ CACHE_LAYERS = ("trace", "translated", "opstream", "store")
 def cache_snapshot() -> Dict[str, Dict[str, float]]:
     """Counters of the process-wide caches and store, as plain dicts."""
     from ..engine.opstream import opstream_cache_info
-    from ..engine.specialize import specialize_cache_info
     from ..store import store_cache_info
     from ..trace.compiled import trace_cache_info
     from ..trace.translated import translated_cache_info
@@ -49,7 +48,6 @@ def cache_snapshot() -> Dict[str, Dict[str, float]]:
         "trace": dict(trace_cache_info()._asdict()),
         "translated": dict(translated_cache_info()._asdict()),
         "opstream": dict(opstream_cache_info()._asdict()),
-        "specialize": dict(specialize_cache_info()._asdict()),
         "store": dict(store_cache_info()._asdict()),
     }
 

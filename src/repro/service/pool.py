@@ -64,7 +64,6 @@ DEFAULT_WARM_MODULES: Tuple[str, ...] = (
     "repro.crypto.prince",
     "repro.crypto.randomizer",
     "repro.engine.opstream",
-    "repro.engine.specialize",
     "repro.engine.vector",
     "repro.harness.presets",
     "repro.security.campaign",

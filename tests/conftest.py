@@ -1,12 +1,12 @@
 """Shared fixtures: small, fast configurations for unit tests."""
 
+import contextlib
 import os
 
 import pytest
 
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig, SystemConfig
 from repro.engine.opstream import OPSTREAM_CACHE_ENV
-from repro.engine.specialize import SPECIALIZE_CACHE_ENV
 from repro.trace.compiled import TRACE_CACHE_ENV
 
 
@@ -15,24 +15,43 @@ def _isolated_trace_cache(tmp_path_factory):
     """Point the on-disk artifact caches at temp dirs for the run.
 
     Keeps test runs from writing into the repository's
-    ``results/.trace_cache/``, ``results/.opstream_cache/``, and
-    ``results/.specialize_cache/`` (and from *reading* stale entries
-    out of them).  Individual tests that need a private directory or a
+    ``results/.trace_cache/`` and ``results/.opstream_cache/`` (and
+    from *reading* stale entries out of them).  Individual tests that need a private directory or a
     disabled cache override the variable with ``monkeypatch.setenv``.
     """
     originals = {
         env: os.environ.get(env)
-        for env in (TRACE_CACHE_ENV, OPSTREAM_CACHE_ENV, SPECIALIZE_CACHE_ENV)
+        for env in (TRACE_CACHE_ENV, OPSTREAM_CACHE_ENV)
     }
     os.environ[TRACE_CACHE_ENV] = str(tmp_path_factory.mktemp("trace_cache"))
     os.environ[OPSTREAM_CACHE_ENV] = str(tmp_path_factory.mktemp("opstream_cache"))
-    os.environ[SPECIALIZE_CACHE_ENV] = str(tmp_path_factory.mktemp("specialize_cache"))
     yield
     for env, original in originals.items():
         if original is None:
             os.environ.pop(env, None)
         else:
             os.environ[env] = original
+
+
+@pytest.fixture
+def per_access_drive(monkeypatch):
+    """Context-manager factory: inside ``with per_access_drive():``,
+    ``run_mix`` declines the op-stream replay and walks every access
+    through the hierarchy - the drive-path oracle the replay is
+    compared against.
+    """
+    from repro.engine import vector
+
+    @contextlib.contextmanager
+    def declined():
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                vector, "create_vector_replay",
+                lambda *args, **kwargs: (None, "declined by the per_access_drive fixture"),
+            )
+            yield
+
+    return declined
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ Any failure here is a bug in the packed rewrite (or in an edit that
 touched one engine and forgot its twin).
 """
 
+import contextlib
 import dataclasses
 import random
 
@@ -21,6 +22,7 @@ import pytest
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig
 from repro.core.maya_cache import MayaCache
+from repro.llc.interface import supports_rekey
 from repro.llc.mirage import MirageCache
 from repro.reference import (
     ReferenceMayaCache,
@@ -179,12 +181,12 @@ class TestMayaDifferential:
 # -- Mirage ---------------------------------------------------------------
 
 
-def mirage_pair(seed=13, on_sae="count", **cfg_kwargs):
+def mirage_pair(seed=13, on_sae="count", skew_policy="load_aware", **cfg_kwargs):
     cfg = dict(sets_per_skew=64, rng_seed=seed, hash_algorithm="splitmix")
     cfg.update(cfg_kwargs)
     return (
-        MirageCache(MirageConfig(**cfg), on_sae=on_sae),
-        ReferenceMirageCache(MirageConfig(**cfg), on_sae=on_sae),
+        MirageCache(MirageConfig(**cfg), skew_policy=skew_policy, on_sae=on_sae),
+        ReferenceMirageCache(MirageConfig(**cfg), skew_policy=skew_policy, on_sae=on_sae),
     )
 
 
@@ -210,6 +212,12 @@ class TestMirageDifferential:
         drive_pair(packed, reference, ops[:1200])
         assert packed.flush_all() == reference.flush_all()
         drive_pair(packed, reference, ops[1200:])
+
+    def test_random_skew_policy(self):
+        packed, reference = mirage_pair(seed=29, skew_policy="random")
+        ops = make_stream(seed=11, length=2000, addr_space=2048, sdids=2)
+        drive_pair(packed, reference, ops, mutate_every=83)
+        assert packed.stats.evictions > 0
 
 
 # -- Set-associative baseline (also the packed L1/L2 substrate) -----------
@@ -243,8 +251,8 @@ def replay_pair(packed, reference, ops):
 
     Same op format as ``repro.security.attacks.traffic.replay``, but
     every mutating call's result is compared across the pair, and a
-    ``("rekey",)`` op is applied to *both* sides (both Maya and Mirage
-    keep reference twins with a real ``rekey``).
+    ``("rekey",)`` op is applied to *both* sides when the design has a
+    real ``rekey`` (Maya, Mirage and CEASER do; the baseline does not).
     """
     for i, op in enumerate(ops):
         kind = op[0]
@@ -260,8 +268,9 @@ def replay_pair(packed, reference, ops):
         elif kind == "flush":
             assert packed.flush_all() == reference.flush_all()
         elif kind == "rekey":
-            packed.rekey()
-            reference.rekey()
+            if supports_rekey(packed):
+                packed.rekey()
+                reference.rekey()
         else:
             raise AssertionError(f"unknown traffic op {op!r}")
     assert_state_equal(packed, reference)
@@ -349,19 +358,19 @@ class TestAdversarialTraffic:
         assert packed.stats.accesses == sum(1 for op in ops if op[0] == "access")
 
 
-@pytest.mark.specialize
+@pytest.mark.replay
 class TestVectorEngineSweep:
     """Workload sweep: the op-stream replay vs the per-access drive.
 
     Drives whole ``run_mix`` protocols on Maya through the replay in
-    ``repro.engine.vector`` (``specialize=True``) and through the
-    per-access oracle (``specialize=False``) across workload shapes and
-    a tiny mapping memo, so divergences that depend on stream
-    interleaving (not on a specific hazard) still get caught.
+    ``repro.engine.vector`` and through the per-access oracle (the
+    ``per_access_drive`` fixture) across workload shapes and a tiny
+    mapping memo, so divergences that depend on stream interleaving
+    (not on a specific hazard) still get caught.
     """
 
     @staticmethod
-    def _run_pair(seed, *, bench="mcf", cores=2, memo_capacity=None):
+    def _run_pair(per_access_drive, seed, *, bench="mcf", cores=2, memo_capacity=None):
         from repro.common.config import SystemConfig
         from repro.hierarchy.simulator import run_mix
         from repro.trace.mixes import homogeneous
@@ -376,27 +385,29 @@ class TestVectorEngineSweep:
         if memo_capacity is not None:
             cfg["memo_capacity"] = memo_capacity
         results = []
-        for specialize in (False, True):
+        for drive in (per_access_drive, contextlib.nullcontext):
             llc = MayaCache(MayaConfig(**cfg))
-            r = run_mix(
-                llc, homogeneous(bench, cores), system, specialize=specialize,
-                accesses_per_core=600, warmup_accesses=200, seed=seed,
-                trace_cache=False,
-            )
+            with drive():
+                r = run_mix(
+                    llc, homogeneous(bench, cores), system,
+                    accesses_per_core=600, warmup_accesses=200, seed=seed,
+                    trace_cache=False,
+                )
             results.append((llc, r))
+        assert results[0][1].engine_info is None
         assert results[1][1].specialize_info["replay"] == "opstream-scalar"
         return results
 
     @pytest.mark.parametrize("bench", ["lbm", "omnetpp"])
-    def test_workload_sweep_bit_identical(self, bench):
-        (llc_s, r_s), (llc_v, r_v) = self._run_pair(11, bench=bench)
+    def test_workload_sweep_bit_identical(self, per_access_drive, bench):
+        (llc_s, r_s), (llc_v, r_v) = self._run_pair(per_access_drive, 11, bench=bench)
         assert vars(llc_v.stats) == vars(llc_s.stats)
         assert r_v.ipcs == r_s.ipcs
 
-    def test_tiny_memo_sweep_bit_identical(self):
+    def test_tiny_memo_sweep_bit_identical(self, per_access_drive):
         # Constant memo overflows: most mappings are recomputed through
         # the cipher mid-replay, and the replay must still agree.
-        (llc_s, r_s), (llc_v, r_v) = self._run_pair(5, memo_capacity=32)
+        (llc_s, r_s), (llc_v, r_v) = self._run_pair(per_access_drive, 5, memo_capacity=32)
         memo = llc_s.tags.randomizer.cache_info()
         assert memo.size == 32 and memo.misses > 32  # it overflowed
         assert vars(llc_v.stats) == vars(llc_s.stats)

@@ -1,34 +1,40 @@
 """Differential gate: op-stream replay vs the per-access drive.
 
-With specialization on, ``run_mix`` replays the cached per-core op
-streams through the LLC's specialized ``access_fast`` step
-(``VectorReplay.phase_scalar``) for every design that has one -
-baseline, Mirage and Maya alike.  The oracle is the generic per-access
-drive (``specialize=False``): both must produce bit-identical raw
+``run_mix`` replays the cached per-core op streams through the LLC's
+``access_fast`` step (``VectorReplay.phase_scalar``) for every design
+that has one - baseline, Mirage and Maya alike, any skew policy.  The
+oracle is the per-access drive (the ``per_access_drive`` fixture makes
+the replay decline): both must produce bit-identical raw
 ``CacheStats`` counters, per-core instruction and cycle counts, and
 MPKI.  Configurations the replay cannot model (``on_sae="raise"``,
 the bandwidth model, TLBs, a coherence directory, an LLC without an
 ``access_fast`` step) must fall back to the per-access drive and say
 why.
 
-Marker ``specialize``; run with ``-m specialize``.
+Marker ``replay``; run with ``-m replay``.
 """
 
+import contextlib
 import functools
+import json
 
 import pytest
 
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig, SystemConfig
+from repro.common.errors import ConfigurationError
 from repro.core.maya_cache import MayaCache
+from repro.harness import runner
+from repro.harness.cli import build_tasks
 from repro.hierarchy import simulator
 from repro.hierarchy.simulator import run_mix
 from repro.hierarchy.system import CacheHierarchy
 from repro.llc.baseline import BaselineLLC
 from repro.llc.ceaser import CeaserCache
 from repro.llc.mirage import MirageCache
+from repro.trace.compiled import trace_cache_info
 from repro.trace.mixes import Mix, homogeneous
 
-pytestmark = pytest.mark.specialize
+pytestmark = pytest.mark.replay
 
 SYSTEM = SystemConfig(
     cores=2,
@@ -53,25 +59,35 @@ MAYA_SAE = dict(
 RUN = dict(accesses_per_core=1500, warmup_accesses=500, seed=11, trace_cache=False)
 
 
-def _mirage(algorithm="splitmix", **kwargs):
+def _mirage(algorithm="splitmix", skew_policy="load_aware", **kwargs):
     config = {**MIRAGE, "hash_algorithm": algorithm, **kwargs}
-    return lambda: MirageCache(MirageConfig(**config))
+    return lambda: MirageCache(MirageConfig(**config), skew_policy=skew_policy)
 
 
-def _maya(algorithm="splitmix", on_sae="count", global_tag_eviction=True, **kwargs):
+def _maya(algorithm="splitmix", on_sae="count", global_tag_eviction=True,
+          skew_policy="load_aware", **kwargs):
     config = {**MAYA, "hash_algorithm": algorithm, **kwargs}
     return lambda: MayaCache(
-        MayaConfig(**config), on_sae=on_sae, global_tag_eviction=global_tag_eviction
+        MayaConfig(**config), skew_policy=skew_policy, on_sae=on_sae,
+        global_tag_eviction=global_tag_eviction,
     )
 
 
-def run_both(make_llc, mix, **kwargs):
-    """Run the per-access oracle and the specialized drive on fresh LLCs."""
-    options = {**RUN, **kwargs}
-    llc_ref, llc_fast = make_llc(), make_llc()
-    r_ref = run_mix(llc_ref, mix, SYSTEM, specialize=False, **options)
-    r_fast = run_mix(llc_fast, mix, SYSTEM, specialize=True, **options)
-    return (llc_ref, r_ref), (llc_fast, r_fast)
+@pytest.fixture
+def run_both(per_access_drive):
+    """``run_both(make_llc, mix, **options)``: the per-access oracle and
+    the default drive, each on a fresh LLC."""
+
+    def run(make_llc, mix, **kwargs):
+        options = {**RUN, **kwargs}
+        llc_ref, llc_fast = make_llc(), make_llc()
+        with per_access_drive():
+            r_ref = run_mix(llc_ref, mix, SYSTEM, **options)
+        assert r_ref.engine_info is None  # the oracle walked every access
+        r_fast = run_mix(llc_fast, mix, SYSTEM, **options)
+        return (llc_ref, r_ref), (llc_fast, r_fast)
+
+    return run
 
 
 def assert_bit_identical(ref, fast):
@@ -90,7 +106,7 @@ def assert_replayed(result):
 
 class TestReplayDifferential:
     @pytest.mark.parametrize("policy", ["srrip", "lru", "random", "brrip", "drrip"])
-    def test_baseline_policies(self, policy):
+    def test_baseline_policies(self, run_both, policy):
         ref, fast = run_both(
             lambda: BaselineLLC(SYSTEM.llc_geometry, policy=policy, seed=3),
             homogeneous("mcf", 2),
@@ -100,13 +116,19 @@ class TestReplayDifferential:
         assert_bit_identical(ref, fast)
 
     @pytest.mark.parametrize("algorithm", ["splitmix", "prince"])
-    def test_mirage(self, algorithm):
+    def test_mirage(self, run_both, algorithm):
         ref, fast = run_both(_mirage(algorithm), homogeneous("mcf", 2))
         assert_replayed(fast[1])
         assert ref[0].stats.evictions > 0
         assert_bit_identical(ref, fast)
 
-    def test_mirage_saes_counted(self):
+    def test_mirage_random_skew(self, run_both):
+        ref, fast = run_both(_mirage(skew_policy="random"), homogeneous("mcf", 2))
+        assert_replayed(fast[1])
+        assert ref[0].stats.evictions > 0
+        assert_bit_identical(ref, fast)
+
+    def test_mirage_saes_counted(self, run_both):
         # No extra tag ways: installs land in full sets, so the run
         # takes SAEs (random-victim draws that must stay in lockstep).
         make = _mirage(sets_per_skew=4, base_ways_per_skew=2, extra_ways_per_skew=0)
@@ -120,7 +142,7 @@ class TestReplayDifferential:
         [lambda: BaselineLLC(SYSTEM.llc_geometry), _mirage(), _maya()],
         ids=["baseline", "mirage", "maya"],
     )
-    def test_heterogeneous_mix(self, make_llc):
+    def test_heterogeneous_mix(self, run_both, make_llc):
         ref, fast = run_both(make_llc, HETERO)
         assert_replayed(fast[1])
         assert ref[0].stats.writebacks_received > 0  # lbm's write traffic
@@ -130,33 +152,47 @@ class TestReplayDifferential:
     # SAE-triggered rekeys, memo-capacity evictions) landing mid-stream.
 
     @pytest.mark.parametrize("algorithm", ["splitmix", "prince"])
-    def test_maya(self, algorithm):
+    def test_maya(self, run_both, algorithm):
         ref, fast = run_both(_maya(algorithm), homogeneous("mcf", 2))
         assert_replayed(fast[1])
         assert ref[0].stats.tag_evictions > 0
         assert_bit_identical(ref, fast)
 
     @pytest.mark.parametrize("bench", ["lbm", "omnetpp"])
-    def test_maya_workloads(self, bench):
+    def test_maya_workloads(self, run_both, bench):
         # lbm streams with 45% writes; both exercise the writeback ops.
         ref, fast = run_both(_maya(), homogeneous(bench, 2))
         assert_replayed(fast[1])
         assert ref[0].stats.writebacks_received > 0
         assert_bit_identical(ref, fast)
 
-    def test_maya_zero_warmup(self):
+    def test_maya_random_skew(self, run_both):
+        ref, fast = run_both(_maya(skew_policy="random"), homogeneous("mcf", 2))
+        assert_replayed(fast[1])
+        assert ref[0].stats.tag_evictions > 0
+        assert_bit_identical(ref, fast)
+
+    def test_maya_three_skews(self, run_both):
+        # Off the inline two-skew pick; the replay's batch index
+        # precompute fills one column per skew.
+        ref, fast = run_both(_maya(skews=3), homogeneous("mcf", 2))
+        assert_replayed(fast[1])
+        assert ref[0].stats.tag_evictions > 0
+        assert_bit_identical(ref, fast)
+
+    def test_maya_zero_warmup(self, run_both):
         ref, fast = run_both(_maya(), homogeneous("mcf", 2), warmup_accesses=0)
         assert_replayed(fast[1])
         assert_bit_identical(ref, fast)
 
-    def test_maya_saes_counted(self):
+    def test_maya_saes_counted(self, run_both):
         ref, fast = run_both(_maya(**MAYA_SAE), homogeneous("mcf", 2))
         assert_replayed(fast[1])
         assert ref[0].stats.saes > 0
         assert_bit_identical(ref, fast)
 
     @pytest.mark.parametrize("algorithm", ["splitmix", "prince"])
-    def test_maya_sae_rekey(self, algorithm):
+    def test_maya_sae_rekey(self, run_both, algorithm):
         # on_sae="rekey": the mapping keys change and the memo and
         # precomputed side tables are dropped mid-replay.
         ref, fast = run_both(
@@ -168,7 +204,7 @@ class TestReplayDifferential:
         assert_bit_identical(ref, fast)
         assert fast[0].tags.randomizer.epoch == ref[0].tags.randomizer.epoch
 
-    def test_maya_sae_rekey_without_global_tag_eviction(self):
+    def test_maya_sae_rekey_without_global_tag_eviction(self, run_both):
         ref, fast = run_both(
             _maya(on_sae="rekey", global_tag_eviction=False, **MAYA_SAE),
             homogeneous("mcf", 2),
@@ -177,7 +213,7 @@ class TestReplayDifferential:
         assert ref[0].tags.randomizer.epoch > 1
         assert_bit_identical(ref, fast)
 
-    def test_maya_memo_capacity_evictions(self):
+    def test_maya_memo_capacity_evictions(self, run_both):
         # A 64-entry mapping memo overflows constantly.
         ref, fast = run_both(_maya(memo_capacity=64), homogeneous("mcf", 2))
         assert_replayed(fast[1])
@@ -187,7 +223,7 @@ class TestReplayDifferential:
         assert fast[1].llc_randomizer_hit_rate == ref[1].llc_randomizer_hit_rate
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 23, 1009])
-    def test_maya_seed_sweep(self, seed):
+    def test_maya_seed_sweep(self, run_both, seed):
         # Divergences that depend on stream interleaving, not on one
         # specific hazard.
         ref, fast = run_both(
@@ -213,35 +249,72 @@ class TestReplayGates:
         assert info["replay"] is None
         assert needle in info["replay_reason"]
 
-    def test_on_sae_raise(self):
+    def test_on_sae_raise(self, run_both):
         make = lambda: MirageCache(MirageConfig(**MIRAGE), on_sae="raise")  # noqa: E731
         ref, fast = run_both(make, homogeneous("mcf", 2))
         self._assert_fell_back(fast[1], "on_sae")
         assert_bit_identical(ref, fast)
 
-    def test_model_bandwidth(self):
+    def test_model_bandwidth(self, run_both):
         ref, fast = run_both(_mirage(), homogeneous("mcf", 2), model_bandwidth=True)
         self._assert_fell_back(fast[1], "model_bandwidth")
         assert_bit_identical(ref, fast)
 
-    def test_tlbs(self, monkeypatch):
+    def test_tlbs(self, run_both, monkeypatch):
         _with_hierarchy(monkeypatch, enable_tlb=True)
         ref, fast = run_both(_mirage(), homogeneous("mcf", 2))
         self._assert_fell_back(fast[1], "TLB")
         assert_bit_identical(ref, fast)
 
-    def test_coherence_directory(self, monkeypatch):
+    def test_coherence_directory(self, run_both, monkeypatch):
         _with_hierarchy(monkeypatch, enable_coherence=True)
         ref, fast = run_both(_mirage(), homogeneous("mcf", 2))
         self._assert_fell_back(fast[1], "coherence")
         assert_bit_identical(ref, fast)
 
-    def test_llc_without_access_fast_step(self):
-        # CEASER's specialized step sits on its inner array; the LLC
-        # object itself has no packed step to replay through.
+    def test_llc_without_access_fast_step(self, run_both):
+        # CEASER's step sits on its inner array; the LLC object itself
+        # has no packed step to replay through.
         make = lambda: CeaserCache(SYSTEM.llc_geometry, seed=3)  # noqa: E731
         ref, fast = run_both(make, homogeneous("mcf", 2))
         self._assert_fell_back(fast[1], "CeaserCache has no access_fast step")
         assert fast[1].engine_info is None
         assert ref[0].stats.evictions > 0
         assert_bit_identical(ref, fast)
+
+
+class TestRunMixArguments:
+    @pytest.mark.parametrize("option", ["warmup_accesses", "accesses_per_core"])
+    @pytest.mark.parametrize("drive", ["replay", "per-access"])
+    def test_negative_counts_rejected_up_front(self, per_access_drive, option, drive):
+        before = trace_cache_info().compiles
+        context = per_access_drive() if drive == "per-access" else contextlib.nullcontext()
+        with context, pytest.raises(ConfigurationError, match=option):
+            run_mix(_maya()(), homogeneous("mcf", 2), SYSTEM, **{**RUN, option: -50})
+        assert trace_cache_info().compiles == before  # nothing was compiled
+
+    @pytest.mark.parametrize("drive", ["replay", "per-access"])
+    def test_zero_measured_accesses_still_valid(self, per_access_drive, drive):
+        context = per_access_drive() if drive == "per-access" else contextlib.nullcontext()
+        with context:
+            result = run_mix(_maya()(), homogeneous("mcf", 2), SYSTEM,
+                             **{**RUN, "accesses_per_core": 0})
+        assert result.total_instructions > 0  # each core still steps once
+        assert (result.engine_info is None) == (drive == "per-access")
+
+
+@pytest.mark.slow
+def test_canonical_grid_results_identical_on_both_drive_paths(per_access_drive):
+    """``fig9 fig10 table7 --fast``: the canonical results bytes are the
+    same with the replay on and with every ``run_mix`` on the
+    per-access drive."""
+    tasks = build_tasks(["fig9", "fig10", "table7"], fast=True)
+
+    def canonical():
+        return json.dumps(runner.results_dict(runner.run_tasks(tasks)), indent=2)
+
+    replayed = canonical()
+    with per_access_drive():
+        walked = canonical()
+    assert json.loads(replayed)["ok"]
+    assert replayed == walked

@@ -1,99 +1,112 @@
-"""Seeded fuzz differential: specialized codegen vs the generic engine.
+"""Seeded fuzz differential: each design's ``access_fast`` step vs its
+``repro.reference`` twin.
 
-``repro.engine.specialize`` compiles per-config ``access_fast`` step
-functions with constants inlined and policy branches pruned.  The
-contract is *bit-identity*: for any design and any access stream, the
-specialized step must produce exactly the per-access flags, victim
-protocol fields, and :class:`~repro.cache.stats.CacheStats` the generic
-engine does - including across mid-stream ``rekey()`` / ``flush_all()``
-(which mutate the bound columns in place) and SAE storms (which route
-through the delegated rare-path methods).
+Maya, Mirage and the set-associative cache each run one hand-written
+step (built at construction and bound as ``access_fast``; the public
+``access()`` calls it).  The contract is *bit-identity* with the
+object-model reference: for any access stream, the same per-access
+results, victim lines, :class:`~repro.cache.stats.CacheStats` and
+occupancy - including across mid-stream ``rekey()`` / ``flush_all()``
+(which mutate the step's bound columns in place) and SAE storms (which
+route through the rare-path methods).  The wrapper designs (baseline,
+CEASER) compare against the same wrapper over a
+:class:`~repro.reference.ReferenceSetAssociativeCache` inner array.
 
-These tests drive two identically-seeded instances of each design -
-one generic, one with :func:`apply_specialization` installed - through
-the same randomized event stream and fail on the first divergence.
-Designs without a specialized template (skewed, fully-associative) run
-through the same harness to pin down that applying/releasing a
-specialization is a safe no-op for them.
+The lockstep harness is ``replay_pair`` from
+``test_differential_engines``; this module adds the adversarial fuzz
+streams and the design x replacement-policy sweep.
 
-Marker ``specialize``; run with ``-m specialize``.
+Marker ``replay``; run with ``-m replay``.
 """
 
-import dataclasses
 import random
 
 import pytest
 
-from repro.cache.line import ACC_EVICTED
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig
+from repro.common.rng import derive_seed
 from repro.core.maya_cache import MayaCache
-from repro.engine.specialize import apply_specialization
 from repro.llc.baseline import BaselineLLC
 from repro.llc.ceaser import CeaserCache
-from repro.llc.fully_assoc import FullyAssociativeCache
-from repro.llc.interface import supports_rekey
 from repro.llc.mirage import MirageCache
-from repro.llc.skewed import SkewedRandomizedCache
+from repro.reference import (
+    ReferenceMayaCache,
+    ReferenceMirageCache,
+    ReferenceSetAssociativeCache,
+)
 
-pytestmark = pytest.mark.specialize
+from .test_differential_engines import replay_pair
+
+pytestmark = pytest.mark.replay
 
 GEOMETRY = CacheGeometry(sets=32, ways=8)
 
+MAYA = dict(sets_per_skew=16, hash_algorithm="splitmix")
+MIRAGE = dict(sets_per_skew=16, hash_algorithm="splitmix")
 
-def _maya(seed, on_sae="count"):
-    return MayaCache(
-        MayaConfig(sets_per_skew=16, rng_seed=seed, hash_algorithm="splitmix"),
-        on_sae=on_sae,
+
+def _reference_inner(llc, policy, seed):
+    """Swap a wrapper design's packed inner array for the reference one."""
+    llc._cache = ReferenceSetAssociativeCache(GEOMETRY, policy=policy, seed=seed)
+    llc.stats = llc._cache.stats
+    vars(llc).pop("access_fast", None)
+    return llc
+
+
+def _baseline(seed, policy, reference):
+    llc = BaselineLLC(GEOMETRY, policy=policy, seed=seed)
+    return _reference_inner(llc, policy, seed) if reference else llc
+
+
+def _ceaser(seed, policy, reference):
+    llc = CeaserCache(
+        GEOMETRY, remap_period=900, seed=seed, hash_algorithm="splitmix", policy=policy
     )
+    return _reference_inner(llc, policy, derive_seed(seed, 12)) if reference else llc
 
 
-#: name -> (builder(seed, policy), expect_specialized)
+def _maya(skews=2, **kwargs):
+    def build(seed, policy, reference):
+        cls = ReferenceMayaCache if reference else MayaCache
+        return cls(MayaConfig(rng_seed=seed, skews=skews, **MAYA), **kwargs)
+
+    return build
+
+
+def _mirage(skews=2, **kwargs):
+    def build(seed, policy, reference):
+        cls = ReferenceMirageCache if reference else MirageCache
+        return cls(MirageConfig(rng_seed=seed, skews=skews, **MIRAGE), **kwargs)
+
+    return build
+
+
+#: name -> builder(seed, policy, reference)
 DESIGNS = {
-    "baseline": (lambda seed, policy: BaselineLLC(GEOMETRY, policy=policy, seed=seed), True),
-    "ceaser": (
-        lambda seed, policy: CeaserCache(
-            GEOMETRY, remap_period=900, seed=seed,
-            hash_algorithm="splitmix", policy=policy,
-        ),
-        True,
-    ),
-    "ceaser_s": (
-        lambda seed, policy: SkewedRandomizedCache(
-            GEOMETRY, use_sdid_in_hash=False, remap_period=700,
-            seed=seed, hash_algorithm="splitmix",
-        ),
-        False,  # object-model design: no packed hot path to specialize
-    ),
-    "scatter": (
-        lambda seed, policy: SkewedRandomizedCache(
-            GEOMETRY, use_sdid_in_hash=True, remap_period=None,
-            seed=seed, hash_algorithm="splitmix",
-        ),
-        False,
-    ),
-    "mirage": (
-        lambda seed, policy: MirageCache(
-            MirageConfig(sets_per_skew=16, rng_seed=seed, hash_algorithm="splitmix")
-        ),
-        True,
-    ),
-    "maya": (lambda seed, policy: _maya(seed), True),
-    "maya_rekey_on_sae": (lambda seed, policy: _maya(seed, on_sae="rekey"), True),
-    "fully_assoc": (lambda seed, policy: FullyAssociativeCache(192, seed=seed), False),
+    "baseline": _baseline,
+    "ceaser": _ceaser,
+    "mirage": _mirage(),
+    "mirage_random": _mirage(skew_policy="random"),
+    "mirage_3skews": _mirage(skews=3),
+    "maya": _maya(),
+    "maya_rekey_on_sae": _maya(on_sae="rekey"),
+    "maya_random": _maya(skew_policy="random"),
+    "maya_3skews": _maya(skews=3),
 }
 
-#: The sweep: every design, with the packed-replacement designs crossed
-#: against every replacement policy the codegen has a template for.
+#: The sweep: every design with a step, the packed-replacement designs
+#: crossed against every packed replacement policy.
 COMBOS = (
     [("baseline", p) for p in ("lru", "random", "srrip", "brrip", "drrip")]
     + [("ceaser", p) for p in ("lru", "random", "srrip")]
     + [
-        ("ceaser_s", None),
-        ("scatter", None),
         ("mirage", None),
+        ("mirage_random", None),
+        ("mirage_3skews", None),
         ("maya", None),
         ("maya_rekey_on_sae", None),
-        ("fully_assoc", None),
+        ("maya_random", None),
+        ("maya_3skews", None),
     ]
 )
 
@@ -132,101 +145,29 @@ def fuzz_events(seed, length=1500, addr_space=4096, cores=4, sdids=2):
     return events
 
 
-def drive(llc, events):
-    """Run the event stream; returns the full per-event outcome trail.
-
-    Packed designs go through ``access_fast`` (the attribute the
-    specialization shadows) and record the raw ``ACC_*`` flags plus the
-    victim protocol fields; object-model designs go through ``access``
-    and record the :class:`AccessResult` fields.  Re-reads the
-    ``access_fast`` attribute every iteration on purpose: a design
-    whose rare path swaps the step mid-stream must keep dispatching
-    like the hierarchy drive loop does.
-    """
-    trail = []
-    for event in events:
-        if event[0] == "flush":
-            trail.append(("flush", llc.flush_all()))
-            continue
-        if event[0] == "rekey":
-            if supports_rekey(llc):
-                llc.rekey()
-            trail.append(("rekey",))
-            continue
-        _, addr, is_write, core, is_wb, sdid = event
-        step = getattr(llc, "access_fast", None)
-        if step is not None:
-            flags = step(addr, is_write, core, is_wb, sdid)
-            if flags & ACC_EVICTED:
-                trail.append(
-                    (flags, llc.victim_addr, llc.victim_core,
-                     llc.victim_sdid, llc.victim_reused)
-                )
-            else:
-                trail.append(flags)
-        else:
-            result = llc.access(addr, is_write, core, is_wb, sdid)
-            evicted = result.evicted
-            trail.append(
-                (
-                    result.hit, result.tag_hit, result.sae,
-                    None if evicted is None
-                    else (evicted.line_addr, evicted.dirty, evicted.core_id),
-                )
-            )
-    return trail
-
-
-def occupancy_snapshot(llc):
-    snap = {"occupancy": llc.occupancy, "by_core": llc.occupancy_by_core()}
-    if hasattr(llc, "occupancy_by_domain"):
-        snap["by_domain"] = llc.occupancy_by_domain()
-    return snap
-
-
 @pytest.mark.parametrize(
     "design,policy", COMBOS, ids=[f"{d}-{p or 'default'}" for d, p in COMBOS]
 )
 @pytest.mark.parametrize("stream_seed", [11, 202])
 def test_specialized_bit_identical(design, policy, stream_seed):
-    """Specialized and generic runs must match event-for-event."""
-    build, expect_specialized = DESIGNS[design]
+    """The step and the reference twin must match event for event."""
+    build = DESIGNS[design]
     events = fuzz_events(stream_seed * 1000 + len(design))
+    packed = build(42, policy, reference=False)
+    reference = build(42, policy, reference=True)
 
-    generic = build(42, policy)
-    specialized = build(42, policy)
-    spec, info = apply_specialization(specialized)
-    try:
-        if expect_specialized:
-            assert info["llc"] == type(specialized).__name__, info["llc_reason"]
-        else:
-            assert info["llc"] is None and info["llc_reason"]
-        generic_trail = drive(generic, events)
-        specialized_trail = drive(specialized, events)
-    finally:
-        spec.release()
+    replay_pair(packed, reference, events)
 
-    assert specialized_trail == generic_trail
-    assert dataclasses.asdict(specialized.stats) == dataclasses.asdict(generic.stats)
-    assert occupancy_snapshot(specialized) == occupancy_snapshot(generic)
     # The stream must actually have exercised the whole-cache events
     # and (for the secure designs) set-associative evictions.
     assert any(e[0] == "flush" for e in events)
     assert any(e[0] == "rekey" for e in events)
-    if design in ("maya", "maya_rekey_on_sae"):
-        assert generic.stats.saes > 0 or generic.stats.tag_evictions > 0
-    if design == "mirage":
+    if design.startswith("maya"):
+        assert packed.stats.saes > 0 or packed.stats.tag_evictions > 0
+        assert packed.installs == reference.installs
+        assert packed.premature_p0_evictions == reference.premature_p0_evictions
+    if design.startswith("mirage"):
         # Mirage's extra tags make SAEs astronomically rare by design;
         # capacity pressure shows up as global evictions instead.
-        assert generic.stats.evictions > 0
-
-
-def test_release_restores_generic_step():
-    """``release()`` must put the original bound method back."""
-    llc = _maya(7)
-    original = llc.access_fast
-    spec, info = apply_specialization(llc)
-    assert info["llc"] == "MayaCache"
-    assert llc.access_fast is not original
-    spec.release()
-    assert llc.access_fast == original
+        assert packed.stats.evictions > 0
+        assert packed.installs == reference.installs

@@ -7,14 +7,10 @@ fingerprint.  Fresh caches per trial make every trial's statistics
 bit-identical; the throughput spread is pure machine noise, so the
 best-of-N figure is the one to compare across commits.
 
-The ``maya_specialized`` row is the serial state machine under
-config-specialized codegen (``repro.engine.specialize``): the generated
-per-access step plus the op-stream replay drive
-(``repro.engine.vector``).  Its MPKI fingerprint must match the generic
-``maya`` row bit-for-bit, which ``run_protocol`` enforces before
-reporting.  Legacy rows pin specialization *off* so their figures stay
-comparable with the pre-v10 baselines; ``--verify`` additionally
-enforces the specialized speedup floor (see ``verify_specialized``).
+Every row runs ``run_mix``'s default drive: the design's hand-written
+``access_fast`` step on the op-stream replay (``repro.engine.vector``).
+``--verify`` cross-checks the packed Maya engine against the
+object-model reference (``repro.reference``) through ``run_mix``.
 
 Unless ``--no-service`` is given, the run closes with the resident
 simulation service's reason-to-exist figure: the per-job cost of a
@@ -107,7 +103,7 @@ PRE_FUSED_PRINCE_ANCHOR = {"maya_prince": 6228.5}
 
 def _make_llc(design: str, params: dict):
     sets, seed = params["llc_sets"], params["seed"]
-    if design in ("maya", "maya_specialized"):
+    if design == "maya":
         return MayaCache(experiment_maya(llc_sets=sets, seed=seed))
     if design == "maya_prince":
         # The paper's actual cipher (security-mode runs); the presets
@@ -505,13 +501,6 @@ def bench_design(design: str, params: dict, make_llc=_make_llc) -> dict:
     mix = homogeneous(params["bench"], params["cores"])
     system = experiment_system(cores=params["cores"], llc_sets=params["llc_sets"])
     total_accesses = (params["accesses_per_core"] + params["warmup_per_core"]) * params["cores"]
-    # ``*_specialized`` rows pin specialization on; every legacy row
-    # pins it *off* so its throughput figure keeps measuring the
-    # generic engine the pre-v10 baselines recorded.
-    if design.endswith("_specialized"):
-        specialize = True
-    else:
-        specialize = bool(params.get("specialize", False))
     seconds, mpki, hit_rate, trace_trials = [], None, 0.0, []
     translated_trials, engine_trials = [], []
     for _ in range(params["trials"]):
@@ -524,15 +513,13 @@ def bench_design(design: str, params: dict, make_llc=_make_llc) -> dict:
             accesses_per_core=params["accesses_per_core"],
             warmup_accesses=params["warmup_per_core"],
             seed=params["seed"],
-            specialize=specialize,
         )
         seconds.append(time.perf_counter() - t0)
         # Per-trial drive-path provenance: the op-stream replay's
-        # counters (when it ran) plus what the specializer installed
-        # (or why it declined).
+        # counters (when it ran) plus the drive path taken (or why the
+        # replay declined).
         trial_info = dict(result.engine_info or {})
-        if result.specialize_info is not None:
-            trial_info["specialize"] = dict(result.specialize_info)
+        trial_info["drive"] = dict(result.specialize_info)
         engine_trials.append(trial_info)
         after = trace_cache_info()
         tix_after = translated_cache_info()
@@ -571,7 +558,6 @@ def bench_design(design: str, params: dict, make_llc=_make_llc) -> dict:
         "llc_mpki": mpki,
         "randomizer_hit_rate": hit_rate,
         "trial_seconds": [round(s, 3) for s in seconds],
-        "specialize": specialize,
         "engine_trials": engine_trials,
         "trace_cache_trials": trace_trials,
         "translated_cache_trials": translated_trials,
@@ -586,79 +572,20 @@ def _have_numpy() -> bool:
         return False
 
 
-DEFAULT_DESIGNS = (
-    "maya", "maya_specialized", "maya_prince", "mirage", "baseline",
-)
+DEFAULT_DESIGNS = ("maya", "maya_prince", "mirage", "baseline")
 
 
 def run_protocol(params: dict, designs=DEFAULT_DESIGNS) -> dict:
     results = {}
     for design in designs:
-        if design.endswith("_specialized") and not _have_numpy():
-            # The specialized row's figure is the op-stream replay
-            # drive, whose setup runs on numpy.
-            print(f"  {design:15s} skipped (numpy unavailable)")
-            continue
         results[design] = bench_design(design, params)
         r = results[design]
-        if design.endswith("_specialized"):
-            for t in r["engine_trials"]:
-                spec = t.get("specialize") or {}
-                if spec.get("llc") is None:
-                    raise AssertionError(
-                        f"{design}: specialization did not engage "
-                        f"({spec.get('llc_reason', 'no reason recorded')})"
-                    )
-                if spec.get("replay") != "opstream-scalar":
-                    raise AssertionError(
-                        f"{design}: specialized scalar replay did not engage "
-                        f"({spec.get('replay_reason', 'no reason recorded')})"
-                    )
         print(
             f"  {design:15s} {r['accesses_per_sec_best']:>10.1f} acc/s best "
             f"({r['accesses_per_sec_median']:>9.1f} median over "
             f"{params['trials']} trials)  mpki={r['llc_mpki']:.6f}"
         )
-    if "maya" in results and "maya_specialized" in results:
-        if results["maya_specialized"]["llc_mpki"] != results["maya"]["llc_mpki"]:
-            raise AssertionError(
-                f"maya_specialized mpki {results['maya_specialized']['llc_mpki']} != "
-                f"generic maya {results['maya']['llc_mpki']} - the drive paths diverged"
-            )
-        print("  drive-path cross-check OK (maya_specialized mpki == maya mpki)")
     return results
-
-
-#: ``--verify`` floors for the specialized state machine, keyed by
-#: protocol.  FULL carries the headline claim - the generated step plus
-#: opstream scalar replay must beat the generic serial engine >=1.8x in
-#: the *same run* (measured ~2.3x; same-run ratios cancel machine
-#: speed, so the floor absorbs runner variance, not regressions).  The
-#: quick protocol amortizes the replay setup over 4x fewer accesses,
-#: so its floor is lower.
-SPECIALIZED_SPEEDUP_FLOORS = {"full": 1.8, "quick": 1.2}
-
-
-def verify_specialized(results: dict, protocol: str) -> None:
-    """Enforce the specialized-engine same-run speedup floor."""
-    if "maya" not in results or "maya_specialized" not in results:
-        print("  specialized verify skipped (rows missing)")
-        return
-    floor = SPECIALIZED_SPEEDUP_FLOORS.get(protocol, 1.2)
-    generic = results["maya"]["accesses_per_sec_best"]
-    specialized = results["maya_specialized"]["accesses_per_sec_best"]
-    ratio = specialized / generic
-    if ratio < floor:
-        print(
-            f"SPECIALIZATION FAILURE: maya_specialized {specialized:.1f} acc/s is "
-            f"only {ratio:.2f}x the same-run generic maya {generic:.1f} "
-            f"(floor {floor:.1f}x for the {protocol} protocol)",
-            file=sys.stderr,
-        )
-        raise SystemExit(1)
-    print(
-        f"  specialized speedup OK ({ratio:.2f}x >= {floor:.1f}x same-run generic)"
-    )
 
 
 def verify_against_reference(params: dict) -> None:
@@ -720,7 +647,7 @@ def check_regression(measured: dict, baseline_path: str, protocol: str, pct: flo
             )
             failures += 1
     floors = []
-    for design in ("maya", "maya_specialized", "maya_prince"):
+    for design in ("maya", "maya_prince"):
         if design not in measured or design not in base["results"]:
             continue
         floor = base["results"][design]["accesses_per_sec_best"] * (1 - pct / 100.0)
@@ -829,7 +756,6 @@ def main(argv=None) -> int:
 
     if args.verify:
         verify_against_reference(params)
-        verify_specialized(results, protocol)
 
     if args.both:
         other_name = "full" if args.quick else "quick"
