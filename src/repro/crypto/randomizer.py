@@ -35,6 +35,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..common.bitops import fold_xor, log2_exact
 from ..common.errors import ConfigurationError
+from ..common.host import available_cpus
 from ..common.rng import derive_seed, make_rng
 from .prince import Prince
 
@@ -308,7 +309,8 @@ class IndexRandomizer:
         A miss first consults the :meth:`bulk_map` side table before
         paying for the cipher; either way it *counts* as a miss and
         inserts into the memo, so the memo's hit/miss/eviction
-        behaviour is bit-identical with or without pre-warming.
+        behaviour is bit-identical with or without pre-warming.  The
+        Maya and Mirage steps inline this logic; keep them in step.
         """
         memo = self._memo
         key = (line_addr, sdid)
@@ -348,7 +350,9 @@ class IndexRandomizer:
         integers, so workers rebuild the key schedule from them and
         translate disjoint address chunks.  ``jobs`` overrides the pool
         size (``1`` forces serial); the ``REPRO_TRANSLATE_JOBS`` env var
-        overrides the default.  Any pool failure degrades to the serial
+        overrides the default, the CPUs this process may run on
+        (:func:`repro.common.host.available_cpus`).  Any pool failure
+        degrades to the serial
         path, which is bit-identical by construction.
         """
         addrs = line_addrs if isinstance(line_addrs, array) else array("Q", line_addrs)
@@ -365,7 +369,7 @@ class IndexRandomizer:
                 except ValueError:
                     jobs = None
         if jobs is None:
-            jobs = os.cpu_count() or 1
+            jobs = available_cpus()
         jobs = max(1, min(jobs, len(addrs)))
         if jobs > 1 and len(addrs) * self._skews >= _PARALLEL_THRESHOLD:
             try:

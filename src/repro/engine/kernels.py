@@ -1,9 +1,9 @@
 """Numpy pre-passes for the op-stream replay setup.
 
 :func:`splitmix_indices` is the vectorized splitmix64 index derivation:
-before a Maya replay starts, every distinct line its op streams can
-touch is mixed and XOR-folded in one pass and installed in the
-randomizer's precomputed side table, so the replay's per-miss index
+before a Mirage or Maya replay starts, every distinct line its op
+streams can touch is mixed and XOR-folded in one pass and installed in
+the randomizer's precomputed side table, so the replay's per-miss index
 derivation becomes a dict probe
 (:meth:`repro.engine.vector.VectorReplay.precompute_indices`).
 

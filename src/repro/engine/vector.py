@@ -26,9 +26,12 @@ with precomputed exact sums.
   :func:`_timing_exact` verifies these preconditions against the
   actual config and declines the replay when they fail.
 * *State.*  Every op executes through the LLC's own ``access_fast``
-  step - the same hand-written closure the per-access drive calls - and
-  the live DRAM model, so cache state evolves exactly as under the
-  per-access drive, SAEs, rekeys and memo evictions included.
+  step - the same hand-written closure the per-access drive calls - so
+  cache state evolves exactly as under the per-access drive, SAEs,
+  rekeys and memo evictions included.  DRAM traffic runs
+  ``DramModel.access``'s unmodelled-bandwidth logic inline: reads probe
+  and update the live open-row dict, writes only count, and the
+  counters are added back to the model at the end of each phase.
 
 :func:`create_vector_replay` returns ``(None, reason)`` whenever a
 precondition fails; ``run_mix`` then keeps the per-access drive, which
@@ -42,7 +45,6 @@ import sys
 from typing import List, Optional, Tuple
 
 from ..common.errors import SimulationError, TraceError
-from ..core.maya_cache import MayaCache
 from ..trace.compiled import trace_key
 from .kernels import HAVE_NUMPY, splitmix_indices
 from .opstream import opstream_for
@@ -169,7 +171,6 @@ class VectorReplay:
         self._cshift = max((cores - 1).bit_length(), 1)
         self._rh_i = int((float(dram._row_hit_cycles) / mlp) * scale)
         self._rm_i = int((float(dram._row_miss_cycles) / mlp) * scale)
-        self._lat_rh = float(dram._row_hit_cycles)
         cpi_i = int(base_cpi * scale)
         lat_i = np.rint(base_lat_table * scale).astype(np.int64)
         # Per-core precomputed columns over the whole trace: exclusive
@@ -233,7 +234,7 @@ class VectorReplay:
         addresses the ``run_mix`` pretranslation already covered.
         Returns the number of entries installed.
         """
-        rand = self._llc.tags.randomizer
+        rand = self._llc.index_randomizer
         installed = 0
         for core, oaddrs in enumerate(self._oaddrs_np):
             if not len(oaddrs):
@@ -329,7 +330,10 @@ class VectorReplay:
         bit-identical state because each op runs the cache's own
         ``access_fast`` step.  Nothing here is specific to one LLC design, and hazards (SAE, rekey,
         memo-capacity evictions) need no special handling: there is no
-        batched state to invalidate.
+        batched state to invalidate.  DRAM requests run
+        ``DramModel.access``'s ``now=None`` logic inline on locals (the
+        open-row dict is the model's own), and the counters are added
+        back to the model before returning.
         """
         count = max(1, per_core)
         cores = self._cores
@@ -366,12 +370,15 @@ class VectorReplay:
             heap.append(((int(clocks[c] * scale) + lead) << cshift) | c)
         heapq.heapify(heap)
         heappop, heappush = heapq.heappop, heapq.heappush
-        llc = self._llc
-        access_fast = llc.access_fast
-        dram_access = self._dram.access
+        access_fast = self._llc.access_fast
+        dram = self._dram
+        open_rows = dram._open_rows
+        open_row = open_rows.get
+        row_shift = dram._lines_per_row_shift
+        banks = dram._banks
+        reads = writes = row_hits = 0
         rh_i = self._rh_i
         rm_i = self._rm_i
-        lat_rh = self._lat_rh
         n_ops = 0
         while heap:
             hk = heappop(heap)
@@ -386,18 +393,22 @@ class VectorReplay:
                     n_ops += 1
                     if kind:
                         flags = access_fast(a, False, c, False, c)
-                        if flags & 4:  # ACC_EVICTED_DIRTY
-                            dram_access(llc.victim_addr, True, None)
-                        if not flags & 1:  # ACC_HIT
-                            lat = dram_access(a, False, None)
-                            if kind == 2:
-                                # Reads return exactly the row-hit or
-                                # row-miss cycles.
-                                d += rh_i if lat == lat_rh else rm_i
-                    else:
-                        flags = access_fast(a, False, c, True, c)
-                        if flags & 4:
-                            dram_access(llc.victim_addr, True, None)
+                        if flags & 4:  # ACC_EVICTED_DIRTY: a DRAM write
+                            writes += 1
+                        if not flags & 1:  # not ACC_HIT: a DRAM read
+                            row = a >> row_shift
+                            bank = row % banks
+                            reads += 1
+                            if open_row(bank) == row:
+                                row_hits += 1
+                                if kind == 2:  # demand: on the clock
+                                    d += rh_i
+                            else:
+                                open_rows[bank] = row
+                                if kind == 2:
+                                    d += rm_i
+                    elif access_fast(a, False, c, True, c) & 4:
+                        writes += 1
                 nk = hk + ((advs[j] + d) << cshift)
                 j += 1
                 if j < limit:
@@ -409,6 +420,10 @@ class VectorReplay:
                 else:
                     clocks[c] = (nk >> cshift) * inv_scale
                 break
+        dram.reads += reads
+        dram.writes += writes
+        dram.row_hits += row_hits
+        dram.row_misses += reads - row_hits
         self.info["scalar_ops"] += n_ops
 
 
@@ -497,6 +512,6 @@ def create_vector_replay(
         clocks,
         instructions,
     )
-    if isinstance(llc, MayaCache):
+    if getattr(llc, "index_randomizer", None) is not None:
         replay.precompute_indices()
     return replay, "ok"

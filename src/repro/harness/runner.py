@@ -42,6 +42,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..common.host import available_cpus
 from ..common.rng import derive_seed
 
 #: Tasks with at least this many shards are worth fanning out.
@@ -90,8 +91,9 @@ def derive_task_seed(base_seed: Optional[int], task_name: str) -> int:
 
 
 def default_jobs() -> int:
-    """A sensible default worker count: the machine's CPUs, capped at 8."""
-    return min(os.cpu_count() or 1, 8)
+    """A sensible default worker count: the CPUs this process may run
+    on (its affinity mask), capped at 8."""
+    return min(available_cpus(), 8)
 
 
 # -- worker-side execution -------------------------------------------------

@@ -47,6 +47,11 @@ class DramModel:
         channel for ``service_cycles``, and requests arriving while it
         is busy queue.  With ``now=None`` bandwidth is unmodelled
         (infinite), the pre-existing behaviour.
+
+        The op-stream replay (``VectorReplay.phase_scalar``) runs the
+        ``now=None`` branch inline on this model's ``_open_rows`` and
+        counters; keep the two in step (``test_opstream_replay``
+        compares them against this method on the per-access drive).
         """
         queue_delay = 0.0
         if now is not None:

@@ -64,8 +64,11 @@ class MixResult:
     llc_interference_fraction: float
     llc_saes: int
     llc_tag_only_hits: int
-    #: Randomizer mapping-cache hit rate over the measured window
-    #: (0.0 for designs without a randomizer/mapping cache).
+    #: Randomizer mapping-cache hit rate over the measured window, for
+    #: designs that expose ``refresh_mapping_cache_stats`` (Mirage and
+    #: Maya, packed and reference); 0.0 for the others.  Identical on
+    #: both drive paths: the replay's index pre-pass fills only the
+    #: side table consulted after a memo miss is counted.
     llc_randomizer_hit_rate: float = 0.0
     #: Op-stream replay provenance (numpy version, ops executed,
     #: run-cache hits and builds); ``None`` when the per-access drive

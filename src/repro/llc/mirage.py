@@ -97,6 +97,9 @@ class MirageCache(LLCache):
         self._where: Dict[int, int] = {}
         self.data = DataStore(cfg.data_entries, seed=derive_seed(cfg.rng_seed, 33))
         self.stats = CacheStats()
+        #: Mapping-cache counter snapshot taken at the last stats reset,
+        #: so ``stats.randomizer_*`` report the measured window only.
+        self._mapping_cache_base = (0, 0)
         self.installs = 0
         # Victim fields of the access_fast protocol (valid until the
         # next access after a result with ACC_EVICTED set).
@@ -125,10 +128,10 @@ class MirageCache(LLCache):
         is_writeback=False, sdid=0)`` is one access with no allocation;
         it returns ``ACC_*`` flags and publishes any writeback in the
         ``victim_*`` fields.  Everything on the access path runs inline:
-        the global random data eviction, the two-skew load-aware pick,
-        the SAE branch and the install.  Other skew policies call
-        :meth:`_pick_skew` and the SAE victim goes through
-        :meth:`_drop_tag`.
+        the global random data eviction, the memoized index lookup and
+        two-skew load-aware pick, the SAE branch and the install.  Other
+        skew policies call :meth:`_pick_skew` and the SAE victim goes
+        through :meth:`_drop_tag`.
 
         Columns, stats and config values are closure locals read once
         here (flush and rekey mutate every structure in place).  The
@@ -147,8 +150,15 @@ class MirageCache(LLCache):
         valid_count = self._valid_count
         where = self._where
         where_get = where.get
-        indices_of = self._indices_of
-        rng_randrange = self._rng.randrange
+        rand = self.randomizer
+        memo = rand._memo
+        memo_pop = memo.pop
+        precomputed_get = rand._precomputed.get
+        raw_indices = rand._raw_indices
+        memo_capacity = rand._memo_capacity
+        # randrange(n) is a thin wrapper over _randbelow(n): the same
+        # draw from the same stream, minus the wrapper cost.
+        randbelow = self._rng._randbelow
         data = self.data
         rptr = data._rptr
         free_list = data._free
@@ -225,7 +235,21 @@ class MirageCache(LLCache):
                 fptr_col[vt] = -1
                 flags = ACC_EVICTED | ACC_EVICTED_DIRTY if vdirty else ACC_EVICTED
             if fast_pick:
-                indices = indices_of(line_addr, sdid)
+                # IndexRandomizer._lookup inline: same memo LRU
+                # discipline and counters; a bulk_map / load_packed
+                # pretranslation satisfies a miss before any hashing.
+                mkey = (line_addr, sdid)
+                indices = memo_pop(mkey, None)
+                if indices is None:
+                    rand.cache_misses += 1
+                    indices = precomputed_get(mkey)
+                    if indices is None:
+                        indices = raw_indices(line_addr, sdid)
+                    if len(memo) >= memo_capacity:
+                        del memo[next(iter(memo))]
+                else:
+                    rand.cache_hits += 1
+                memo[mkey] = indices
                 i0 = indices[0]
                 i1 = indices[1]
                 l0 = valid_count[i0]
@@ -236,7 +260,7 @@ class MirageCache(LLCache):
                 elif l1 < l0:
                     skew = 1
                     set_idx = i1
-                elif rng_randrange(2):
+                elif randbelow(2):
                     skew = 1
                     set_idx = i1
                 else:
@@ -252,7 +276,7 @@ class MirageCache(LLCache):
                     raise SetAssociativeEviction(
                         f"SAE in skew {skew}, set {set_idx}", installs=llc.installs
                     )
-                victim_way = rng_randrange(ways)
+                victim_way = randbelow(ways)
                 # The SAE victim's writeback supersedes the data
                 # eviction's (v1 semantics kept by the reference model).
                 flags = ACC_SAE | llc._drop_tag(base + victim_way, core_id)
@@ -376,6 +400,25 @@ class MirageCache(LLCache):
 
     def contains(self, line_addr: int, sdid: int = 0) -> bool:
         return ((line_addr << 16) | sdid) in self._where
+
+    def reset_stats(self) -> None:
+        """Zero statistics after warm-up and snapshot the mapping-cache
+        counters the measured window is reported against."""
+        self.stats.reset()
+        info = self.randomizer.cache_info()
+        self._mapping_cache_base = (info.hits, info.misses)
+
+    def refresh_mapping_cache_stats(self):
+        """Pull the randomizer's mapping-cache counters into ``stats``.
+
+        Returns the raw :class:`~repro.crypto.randomizer.MappingCacheInfo`;
+        ``stats.randomizer_hits`` / ``stats.randomizer_misses`` are set to
+        the deltas since the last :meth:`reset_stats`.
+        """
+        info = self.randomizer.cache_info()
+        self.stats.randomizer_hits = info.hits - self._mapping_cache_base[0]
+        self.stats.randomizer_misses = info.misses - self._mapping_cache_base[1]
+        return info
 
     def rekey(self) -> None:
         """Refresh the randomizing keys and flush (key management).

@@ -89,6 +89,9 @@ class MirageCache(LLCache):
         self._where: Dict[tuple, int] = {}
         self.data = DataStore(cfg.data_entries, seed=derive_seed(cfg.rng_seed, 33))
         self.stats = CacheStats()
+        #: Mapping-cache counter snapshot taken at the last stats reset,
+        #: so ``stats.randomizer_*`` report the measured window only.
+        self._mapping_cache_base = (0, 0)
         self.installs = 0
 
     # -- index helpers -------------------------------------------------------
@@ -225,6 +228,25 @@ class MirageCache(LLCache):
 
     def contains(self, line_addr: int, sdid: int = 0) -> bool:
         return (line_addr, sdid) in self._where
+
+    def reset_stats(self) -> None:
+        """Zero statistics after warm-up and snapshot the mapping-cache
+        counters the measured window is reported against."""
+        self.stats.reset()
+        info = self.randomizer.cache_info()
+        self._mapping_cache_base = (info.hits, info.misses)
+
+    def refresh_mapping_cache_stats(self):
+        """Pull the randomizer's mapping-cache counters into ``stats``.
+
+        Returns the raw :class:`~repro.crypto.randomizer.MappingCacheInfo`;
+        ``stats.randomizer_hits`` / ``stats.randomizer_misses`` are set to
+        the deltas since the last :meth:`reset_stats`.
+        """
+        info = self.randomizer.cache_info()
+        self.stats.randomizer_hits = info.hits - self._mapping_cache_base[0]
+        self.stats.randomizer_misses = info.misses - self._mapping_cache_base[1]
+        return info
 
     def rekey(self) -> None:
         """Refresh the randomizing keys and flush (key management)."""

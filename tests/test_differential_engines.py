@@ -213,6 +213,20 @@ class TestMirageDifferential:
         assert packed.flush_all() == reference.flush_all()
         drive_pair(packed, reference, ops[1200:])
 
+    def test_mapping_cache_stats_cover_the_window_after_reset(self):
+        packed, reference = mirage_pair(seed=31)
+        ops = make_stream(seed=12, length=2400, addr_space=2048, sdids=2)
+        drive_pair(packed, reference, ops[:1200])
+        packed.reset_stats()
+        reference.reset_stats()
+        drive_pair(packed, reference, ops[1200:])
+        info = packed.refresh_mapping_cache_stats()
+        assert info == reference.refresh_mapping_cache_stats()
+        assert_stats_equal(packed, reference)
+        window = packed.stats.randomizer_hits + packed.stats.randomizer_misses
+        assert packed.stats.randomizer_hits > 0
+        assert 0 < window < info.hits + info.misses  # warm-up excluded
+
     def test_random_skew_policy(self):
         packed, reference = mirage_pair(seed=29, skew_policy="random")
         ops = make_stream(seed=11, length=2000, addr_space=2048, sdids=2)

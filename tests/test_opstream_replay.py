@@ -98,6 +98,11 @@ def assert_bit_identical(ref, fast):
     assert r_fast.llc_mpki == r_ref.llc_mpki
 
 
+def assert_dram_identical(dram_ref, dram_fast):
+    for name in ("reads", "writes", "row_hits", "row_misses", "_open_rows"):
+        assert getattr(dram_fast, name) == getattr(dram_ref, name), name
+
+
 def assert_replayed(result):
     assert result.specialize_info["replay"] == "opstream-scalar", result.specialize_info
     assert result.specialize_info["replay_reason"] is None
@@ -121,6 +126,24 @@ class TestReplayDifferential:
         assert_replayed(fast[1])
         assert ref[0].stats.evictions > 0
         assert_bit_identical(ref, fast)
+
+    def test_mirage_randomizer_hit_rate(self, run_both):
+        ref, fast = run_both(_mirage(), homogeneous("mcf", 2))
+        assert_replayed(fast[1])
+        assert ref[1].llc_randomizer_hit_rate > 0
+        assert fast[1].llc_randomizer_hit_rate == ref[1].llc_randomizer_hit_rate
+        # The replay's index pre-pass filled the side table.
+        assert fast[0].index_randomizer.cache_info().precomputed > 0
+        assert ref[0].index_randomizer.cache_info().precomputed == 0
+
+    def test_mirage_memo_capacity_evictions(self, run_both):
+        # A 64-entry mapping memo overflows constantly.
+        ref, fast = run_both(_mirage(memo_capacity=64), homogeneous("mcf", 2))
+        assert_replayed(fast[1])
+        memo = ref[0].index_randomizer.cache_info()
+        assert memo.size == 64 and memo.misses > 64  # it overflowed
+        assert_bit_identical(ref, fast)
+        assert fast[1].llc_randomizer_hit_rate == ref[1].llc_randomizer_hit_rate
 
     def test_mirage_random_skew(self, run_both):
         ref, fast = run_both(_mirage(skew_policy="random"), homogeneous("mcf", 2))
@@ -146,6 +169,41 @@ class TestReplayDifferential:
         ref, fast = run_both(make_llc, HETERO)
         assert_replayed(fast[1])
         assert ref[0].stats.writebacks_received > 0  # lbm's write traffic
+        assert_bit_identical(ref, fast)
+
+    @pytest.mark.parametrize("make_llc", [_mirage, _maya], ids=["mirage", "maya"])
+    def test_precomputed_side_table_overflow(self, run_both, make_llc):
+        # A side table smaller than one core's distinct op addresses:
+        # the index pre-pass installs through load_packed, whose FIFO
+        # bound evicts entries the replay then derives per miss.
+        def make():
+            llc = make_llc()()
+            llc.index_randomizer._precomputed_capacity = 64
+            return llc
+
+        ref, fast = run_both(make, homogeneous("mcf", 2))
+        assert_replayed(fast[1])
+        assert fast[0].index_randomizer.cache_info().precomputed_evictions > 0
+        assert_bit_identical(ref, fast)
+        assert fast[1].llc_randomizer_hit_rate == ref[1].llc_randomizer_hit_rate
+
+    @pytest.mark.parametrize("mix", [homogeneous("mcf", 2), HETERO], ids=["mcf", "mcf-lbm"])
+    @pytest.mark.parametrize(
+        "make_llc",
+        [lambda: BaselineLLC(SYSTEM.llc_geometry), _mirage(), _maya()],
+        ids=["baseline", "mirage", "maya"],
+    )
+    def test_dram_model(self, run_both, monkeypatch, make_llc, mix):
+        # The replay runs the DRAM model inline; its counters and open
+        # rows must end where the per-access drive leaves them.
+        drams = _capture_drams(monkeypatch)
+        ref, fast = run_both(make_llc, mix)
+        assert_replayed(fast[1])
+        dram_ref, dram_fast = drams
+        assert dram_ref.reads > 0 and dram_ref.row_hits > 0 and dram_ref.row_misses > 0
+        if mix is HETERO:
+            assert dram_ref.writes > 0  # lbm's dirty evictions
+        assert_dram_identical(dram_ref, dram_fast)
         assert_bit_identical(ref, fast)
 
     # -- Maya: hash modes, stream shapes, and every hazard (SAE storms,
@@ -240,6 +298,20 @@ def _with_hierarchy(monkeypatch, **options):
     monkeypatch.setattr(
         simulator, "CacheHierarchy", functools.partial(CacheHierarchy, **options)
     )
+
+
+def _capture_drams(monkeypatch):
+    """Make ``run_mix`` record each hierarchy's ``DramModel``, in
+    construction order."""
+    drams = []
+
+    def build(*args, **kwargs):
+        hierarchy = CacheHierarchy(*args, **kwargs)
+        drams.append(hierarchy.dram)
+        return hierarchy
+
+    monkeypatch.setattr(simulator, "CacheHierarchy", build)
+    return drams
 
 
 class TestReplayGates:

@@ -6,8 +6,11 @@ serial run, both for whole-experiment parallelism and for the shard
 fan-out used by the multi-config experiments.
 """
 
+import os
+
 import pytest
 
+from repro.common import host
 from repro.harness import runner
 from repro.harness.cli import build_tasks
 
@@ -113,3 +116,25 @@ class TestSummary:
         assert entry["name"] == "table8"
         assert "17312" in entry["text"]
         assert entry["seconds"] > 0
+
+
+class TestDefaultJobs:
+    """Pool sizes follow the CPUs this process may run on, not the
+    machine's CPU count."""
+
+    def test_affinity_mask_bounds_the_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert host.available_cpus() == 2
+        assert runner.default_jobs() == 2
+
+    @pytest.mark.parametrize("cpu_count, jobs", [(3, 3), (None, 1)])
+    def test_cpu_count_without_affinity(self, monkeypatch, cpu_count, jobs):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert host.available_cpus() == jobs
+        assert runner.default_jobs() == jobs
+
+    def test_capped_at_eight(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)), raising=False)
+        assert runner.default_jobs() == 8

@@ -10,11 +10,13 @@ table and any cached file unreachable.
 """
 
 import logging
+import os
 from array import array
 
 import pytest
 
 from repro.common.errors import TraceError
+from repro.crypto import randomizer
 from repro.crypto.randomizer import IndexRandomizer
 from repro.trace import compiled, translated
 from repro.trace.compiled import CompiledTrace
@@ -290,6 +292,26 @@ class TestParallelTranslation:
         serial = rand.translate(addrs, 2, jobs=1)
         parallel = rand.translate(addrs, 2, jobs=4)
         assert serial == parallel
+
+    @pytest.mark.parametrize("affinity, pools", [({0}, 0), ({0, 1}, 1)])
+    def test_default_pool_follows_affinity(self, cache_dir, monkeypatch, affinity, pools):
+        # A one-CPU affinity mask keeps a large batch serial even on a
+        # many-CPU machine.  The pool context is stubbed out, so no
+        # process starts; its failure falls back to the serial path.
+        opened = []
+
+        def no_pool(method):
+            opened.append(method)
+            raise OSError("no pool in this test")
+
+        monkeypatch.delenv("REPRO_TRANSLATE_JOBS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(randomizer.multiprocessing, "get_context", no_pool)
+        rand = make_randomizer(algorithm="splitmix")
+        addrs = array("Q", range(9000))
+        assert rand.translate(addrs, 2) == rand.translate(addrs, 2, jobs=1)
+        assert len(opened) == pools
 
     def test_jobs_env_override_is_tolerant(self, cache_dir, monkeypatch):
         monkeypatch.setenv("REPRO_TRANSLATE_JOBS", "not-a-number")

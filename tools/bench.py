@@ -73,6 +73,7 @@ import statistics
 import sys
 import time
 from array import array
+from typing import Optional
 
 from repro.core.maya_cache import MayaCache
 from repro.harness.presets import experiment_maya, experiment_mirage, experiment_system
@@ -452,11 +453,13 @@ def bench_service_overhead(cold_jobs: int = 3, resident_jobs: int = 8) -> dict:
     }
 
 
-def bench_service_grid(workers: int = 4) -> dict:
+def bench_service_grid(workers: Optional[int] = None) -> dict:
     """Drain the fast fig9+fig10+table7 grid through a live HTTP
     service and require the canonical results to be byte-identical to
     a serial run (the same invariant CI's ``service-smoke`` enforces),
     reporting both wall-clocks and the service's cache-reuse totals.
+    ``workers`` defaults to ``runner.default_jobs()``, the size
+    ``repro serve`` picks on the same host.
     """
     import threading
 
@@ -465,6 +468,8 @@ def bench_service_grid(workers: int = 4) -> dict:
     from repro.service.client import ServiceClient
     from repro.service.server import make_server
 
+    if workers is None:
+        workers = harness_runner.default_jobs()
     tasks = build_tasks(list(SERVICE_GRID), fast=True)
     t0 = time.perf_counter()
     serial = harness_runner.run_tasks(tasks, jobs=1)
