@@ -119,3 +119,32 @@ class AccessResult:
     sae: bool = False
     #: Extra lookup latency in cycles beyond the level's base latency.
     extra_latency: int = 0
+
+
+def victim_line(engine, flags: int) -> EvictedLine:
+    """The victim an ``ACC_EVICTED`` result published in ``engine``'s
+    ``victim_*`` fields, as an :class:`EvictedLine`."""
+    return EvictedLine(
+        line_addr=engine.victim_addr,
+        dirty=bool(flags & ACC_EVICTED_DIRTY),
+        core_id=engine.victim_core,
+        sdid=engine.victim_sdid,
+        was_reused=engine.victim_reused,
+    )
+
+
+def access_result(engine, flags: int, extra_latency: int = 0) -> AccessResult:
+    """The :class:`AccessResult` of one ``access_fast`` call on ``engine``.
+
+    Every design's public ``access()`` is this over its step's flags;
+    read the victim before the engine's next access.
+    """
+    if flags & ACC_HIT:
+        return AccessResult(hit=True, extra_latency=extra_latency)
+    return AccessResult(
+        hit=False,
+        evicted=victim_line(engine, flags) if flags & ACC_EVICTED else None,
+        tag_hit=bool(flags & ACC_TAG_HIT),
+        sae=bool(flags & ACC_SAE),
+        extra_latency=extra_latency,
+    )

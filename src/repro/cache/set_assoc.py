@@ -33,6 +33,7 @@ from .line import (
     CacheLine,
     CoherenceState,
     EvictedLine,
+    access_result,
 )
 from .replacement import PackedLRUPolicy, ReplacementPolicy, make_packed_policy
 from .stats import CacheStats
@@ -259,64 +260,51 @@ class SetAssociativeCache:
         Boundary wrapper over ``access_fast`` returning the historical
         :class:`AccessResult` dataclass.
         """
-        flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
-        if flags & ACC_HIT:
-            return AccessResult(hit=True)
-        evicted = None
-        if flags & ACC_EVICTED:
-            evicted = EvictedLine(
-                line_addr=self.victim_addr,
-                dirty=bool(flags & ACC_EVICTED_DIRTY),
-                core_id=self.victim_core,
-                sdid=self.victim_sdid,
-                was_reused=self.victim_reused,
-            )
-        return AccessResult(hit=False, evicted=evicted)
+        return access_result(
+            self, self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
+        )
 
-    def _evict_fast(self, idx: int, filler_core: int) -> int:
+    def _evict_fast(self, idx: int, filler_core: int) -> None:
+        """Drop the valid line in slot ``idx`` (maintenance path).
+
+        Leaves the ``victim_*`` fields alone: they belong to the last
+        ``access_fast`` result, which a wrapper may still be reading
+        (CEASER's remap flushes right after the access that evicted).
+        """
         state = self._state[idx]
         if not state:
             raise SimulationError("evicting an invalid line")
-        dirty = state >= _DIRTY_MIN
-        addr = self._addr[idx]
         core = self._core[idx]
-        reused = self._reused[idx]
-        self.victim_addr = addr
-        self.victim_core = core
-        self.victim_sdid = self._sdid[idx]
-        self.victim_reused = bool(reused)
         st = self.stats
         st.evictions += 1
-        if dirty:
+        if state >= _DIRTY_MIN:
             st.dirty_evictions += 1
-        if not reused:
+        if not self._reused[idx]:
             st.dead_evictions += 1
         if core >= 0 and core != filler_core:
             st.interference_evictions += 1
-        self._where.pop(addr, None)
+        self._where.pop(self._addr[idx], None)
         # Only the state column is cleared: every reader gates on it (or
         # on ``_where``), and a refill overwrites the other columns, so
         # resetting them here would be wasted stores on the hot path.
         self._state[idx] = _INVALID
-        return ACC_EVICTED | ACC_EVICTED_DIRTY if dirty else ACC_EVICTED
 
     # -- maintenance operations -------------------------------------------
-
-    def _victim_as_evicted_line(self, flags: int) -> EvictedLine:
-        return EvictedLine(
-            line_addr=self.victim_addr,
-            dirty=bool(flags & ACC_EVICTED_DIRTY),
-            core_id=self.victim_core,
-            sdid=self.victim_sdid,
-            was_reused=self.victim_reused,
-        )
 
     def invalidate(self, line_addr: int) -> Optional[EvictedLine]:
         """Flush one line (clflush); returns writeback info if dirty."""
         idx = self._where.get(line_addr, -1)
         if idx < 0:
             return None
-        return self._victim_as_evicted_line(self._evict_fast(idx, filler_core=-1))
+        evicted = EvictedLine(
+            line_addr=self._addr[idx],
+            dirty=self._state[idx] >= _DIRTY_MIN,
+            core_id=self._core[idx],
+            sdid=self._sdid[idx],
+            was_reused=bool(self._reused[idx]),
+        )
+        self._evict_fast(idx, filler_core=-1)
+        return evicted
 
     def flush_all(self) -> int:
         """Invalidate the whole cache; returns the number of lines dropped."""

@@ -50,10 +50,12 @@ from ..cache.line import (
     ACC_TAG_HIT,
     AccessResult,
     EvictedLine,
+    access_result,
+    victim_line,
 )
 from ..cache.stats import CacheStats
 from .data_store import DataStore
-from .tag_store import NO_DATA, SkewedTagStore, TagState
+from .tag_store import _SDID_SHIFT, NO_DATA, SkewedTagStore, TagState
 
 #: Extra LLC lookup cycles: 3 for the PRINCE cipher + 1 for indirection.
 SECURE_LOOKUP_EXTRA_CYCLES = 4
@@ -102,6 +104,10 @@ class MayaCache:
         self._on_sae = on_sae
         self._global_tag_eviction = global_tag_eviction
         self.tags = SkewedTagStore(self.config)
+        # The tag store's location map and state column, bound for
+        # :meth:`contains` (both are mutated in place, never rebound).
+        self._where_get = self.tags._where.get
+        self._tag_state = self.tags._state
         # Resolve the skew-selection dispatch once (hot path).
         self._pick_skew = (
             self.tags.pick_skew_load_aware
@@ -349,24 +355,10 @@ class MayaCache:
         Boundary wrapper over ``access_fast`` returning the historical
         :class:`AccessResult` dataclass.
         """
-        flags = self.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
-        if flags & ACC_HIT:
-            return AccessResult(hit=True, extra_latency=self.extra_lookup_latency)
-        evicted = None
-        if flags & ACC_EVICTED:
-            evicted = EvictedLine(
-                line_addr=self.victim_addr,
-                dirty=bool(flags & ACC_EVICTED_DIRTY),
-                core_id=self.victim_core,
-                sdid=self.victim_sdid,
-                was_reused=self.victim_reused,
-            )
-        return AccessResult(
-            hit=False,
-            tag_hit=bool(flags & ACC_TAG_HIT),
-            evicted=evicted,
-            sae=bool(flags & ACC_SAE),
-            extra_latency=self.extra_lookup_latency,
+        return access_result(
+            self,
+            self.access_fast(line_addr, is_write, core_id, is_writeback, sdid),
+            self.extra_lookup_latency,
         )
 
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
@@ -375,15 +367,7 @@ class MayaCache:
         if tag_idx is None:
             return None
         flags = self._drop_tag(tag_idx, filler_core=-1)
-        if flags & ACC_EVICTED:
-            return EvictedLine(
-                line_addr=self.victim_addr,
-                dirty=bool(flags & ACC_EVICTED_DIRTY),
-                core_id=self.victim_core,
-                sdid=self.victim_sdid,
-                was_reused=self.victim_reused,
-            )
-        return None
+        return victim_line(self, flags) if flags & ACC_EVICTED else None
 
     def flush_all(self) -> int:
         """Invalidate every valid tag (and its data); returns count."""
@@ -446,8 +430,8 @@ class MayaCache:
 
     def contains(self, line_addr: int, sdid: int = 0) -> bool:
         """Is the line resident *with data* (priority-1)?"""
-        tag_idx = self.tags.lookup(line_addr, sdid)
-        return tag_idx is not None and self.tags._state[tag_idx] == _P1
+        tag_idx = self._where_get((line_addr << _SDID_SHIFT) | sdid)
+        return tag_idx is not None and self._tag_state[tag_idx] == _P1
 
     def contains_tag(self, line_addr: int, sdid: int = 0) -> bool:
         """Is the line's tag resident at either priority?"""

@@ -79,5 +79,13 @@ class DramModel:
         return self.row_hits / total if total else 0.0
 
     def reset_stats(self) -> None:
+        """Zero the counters and restart the channel idle at cycle 0.
+
+        ``run_mix`` calls this after warm-up, when it also restarts
+        every core clock at 0; a channel still busy until the warm-up's
+        last cycle would queue every measured request behind it.  Open
+        rows are cache-like state and stay warm.
+        """
         self.reads = self.writes = self.row_hits = self.row_misses = 0
         self.queue_cycles = 0.0
+        self._busy_until = 0.0

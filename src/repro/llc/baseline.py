@@ -7,10 +7,10 @@ from typing import Dict, Optional
 from ..cache.line import AccessResult, EvictedLine
 from ..cache.set_assoc import SetAssociativeCache
 from ..common.config import PAPER_BASELINE, CacheGeometry
-from .interface import LLCache
+from .interface import InnerArrayVictim, LLCache
 
 
-class BaselineLLC(LLCache):
+class BaselineLLC(InnerArrayVictim, LLCache):
     """Conventional set-indexed LLC; the paper's comparison baseline.
 
     Vulnerable by construction: the address-to-set mapping is public,
@@ -29,25 +29,9 @@ class BaselineLLC(LLCache):
         self._cache = SetAssociativeCache(self.geometry, policy=policy, seed=seed, name="LLC")
         self.stats = self._cache.stats
         # Expose the inner cache's allocation-free step directly (no
-        # delegation frame); the victim_* fields of the protocol are
-        # mirrored by the properties below.
+        # delegation frame); InnerArrayVictim reads the victim_* fields
+        # of the protocol through from the inner cache.
         self.access_fast = self._cache.access_fast
-
-    @property
-    def victim_addr(self) -> int:
-        return self._cache.victim_addr
-
-    @property
-    def victim_core(self) -> int:
-        return self._cache.victim_core
-
-    @property
-    def victim_sdid(self) -> int:
-        return self._cache.victim_sdid
-
-    @property
-    def victim_reused(self) -> bool:
-        return self._cache.victim_reused
 
     def access(
         self,

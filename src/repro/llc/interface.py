@@ -23,7 +23,12 @@ class LLCache(abc.ABC):
     * :attr:`stats` - a :class:`~repro.cache.stats.CacheStats`,
     * :attr:`extra_lookup_latency` - additional cycles per lookup
       beyond the baseline LLC latency (0 for the baseline; 4 for the
-      randomized decoupled designs, Section III-C).
+      randomized decoupled designs, Section III-C),
+    * ``access_fast`` (every design but VWay and the partitioned
+      ones) - the allocation-free step :meth:`access` wraps: same
+      arguments, returns ``ACC_*`` flags and publishes a victim in
+      ``victim_addr``/``victim_core``/``victim_sdid``/``victim_reused``
+      (see :mod:`repro.cache.line`).
     """
 
     extra_lookup_latency: int = 0
@@ -64,8 +69,10 @@ class LLCache(abc.ABC):
     # -- attacker-facing probe surface -------------------------------------
     #
     # The attack harnesses (repro.security.attacks, repro.security.campaign)
-    # drive every design through these three calls plus the helpers below,
-    # so a new design is attackable the moment it implements the ABC.
+    # load lines through the design's ``access_fast`` step (bound once per
+    # attack loop, flags discarded) and observe it through these calls,
+    # ``invalidate``/``flush_all`` and the helpers below, so a design is
+    # attackable once it implements the ABC and builds a step.
 
     def probe(self, line_addr: int, sdid: int = 0) -> bool:
         """Timing-visible residency probe (the attacker's reload).
@@ -84,6 +91,28 @@ class LLCache(abc.ABC):
         alias their epoch remap), so campaign code can sweep rekey
         periods without per-design branches.
         """
+
+
+class InnerArrayVictim:
+    """``victim_*`` fields of the ``access_fast`` protocol, read through
+    from the wrapped packed array ``self._cache`` (designs that run an
+    inner :class:`~repro.cache.set_assoc.SetAssociativeCache` step)."""
+
+    @property
+    def victim_addr(self) -> int:
+        return self._cache.victim_addr
+
+    @property
+    def victim_core(self) -> int:
+        return self._cache.victim_core
+
+    @property
+    def victim_sdid(self) -> int:
+        return self._cache.victim_sdid
+
+    @property
+    def victim_reused(self) -> bool:
+        return self._cache.victim_reused
 
 
 @dataclass(frozen=True)

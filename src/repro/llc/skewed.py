@@ -7,19 +7,47 @@ relies on remapping alone.  These designs reduce, but do not eliminate,
 set conflicts - eviction-set attacks remain possible at reduced rate
 (Section II-B), which the attack benchmarks demonstrate against Maya's
 zero-SAE behaviour.
+
+The array is stored as packed columns (coherence state, address, core,
+SDID, reused bit) indexed by slot ``(skew * sets + set) * ways + way``,
+and the hot path is ``SkewedRandomizedCache.access_fast``, a
+hand-written closure built once per instance
+(:meth:`SkewedRandomizedCache._build_step`; ``ACC_*`` flag protocol,
+victim published via the ``victim_*`` fields).  Behaviour is
+bit-identical to the object-model reference in
+``repro.reference.skewed``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import weakref
+from typing import Dict, Optional
 
-from ..cache.line import AccessResult, CacheLine, CoherenceState, EvictedLine
+from ..cache.line import (
+    ACC_EVICTED,
+    ACC_EVICTED_DIRTY,
+    ACC_HIT,
+    AccessResult,
+    CoherenceState,
+    EvictedLine,
+    access_result,
+)
 from ..cache.stats import CacheStats
 from ..common.config import CacheGeometry
 from ..common.errors import ConfigurationError
 from ..common.rng import derive_seed, make_rng
 from ..crypto.randomizer import IndexRandomizer
 from .interface import LLCache
+
+#: Coherence-state byte values of the packed state column (the
+#: set-associative cache's encoding): 0 is invalid, >= OWNED is dirty.
+_INVALID = CoherenceState.INVALID.value
+_EXCLUSIVE = CoherenceState.EXCLUSIVE.value
+_MODIFIED = CoherenceState.MODIFIED.value
+_DIRTY_MIN = CoherenceState.OWNED.value
+
+#: Location-map keys pack ``(line_addr << 16) | hash_sdid``.
+_SDID_SHIFT = 16
 
 
 class SkewedRandomizedCache(LLCache):
@@ -59,14 +87,25 @@ class SkewedRandomizedCache(LLCache):
             skews, geometry.sets, seed=derive_seed(seed, 21), algorithm=hash_algorithm
         )
         self._rng = make_rng(derive_seed(seed, 22))
-        self._arrays: List[List[List[CacheLine]]] = [
-            [[CacheLine() for _ in range(self.ways_per_skew)] for _ in range(geometry.sets)]
-            for _ in range(skews)
-        ]
-        self._where: Dict[tuple, tuple] = {}
+        total = skews * geometry.sets * self.ways_per_skew
+        self._state = bytearray(total)
+        self._addr = [0] * total
+        self._core = [-1] * total
+        self._sdid = [0] * total
+        self._reused = bytearray(total)
+        #: packed (line_addr << 16 | hash SDID) -> slot.
+        self._where: Dict[int, int] = {}
         self.stats = CacheStats()
+        #: Fills since the last remap (counted only when remapping is on).
         self._fills_since_remap = 0
         self.remaps = 0
+        # Victim fields of the access_fast protocol (valid until the
+        # next access after a result with ACC_EVICTED set).
+        self.victim_addr = 0
+        self.victim_core = -1
+        self.victim_sdid = 0
+        self.victim_reused = False
+        self.access_fast = self._build_step()
 
     @property
     def index_randomizer(self):
@@ -76,6 +115,127 @@ class SkewedRandomizedCache(LLCache):
     def _hash_sdid(self, sdid: int) -> int:
         return sdid if self.use_sdid_in_hash else 0
 
+    def _build_step(self):
+        """Build the per-access step bound as ``self.access_fast``.
+
+        ``access_fast(line_addr, is_write=False, core_id=0,
+        is_writeback=False, sdid=0)`` is one access with no allocation;
+        it returns ``ACC_*`` flags and publishes any victim in the
+        ``victim_*`` fields.  Inline: the hit path, the statistics
+        counters, ``IndexRandomizer._lookup``, the random skew draw, the
+        first-invalid-way scan, the random victim way and the remap
+        countdown (the remap itself is :meth:`remap`).
+
+        Columns, stats and config values are closure locals read once
+        here (flush and rekey mutate every structure in place).  The
+        instance is reached only through a weak proxy, so the step in
+        the instance dict forms no reference cycle with it.
+        """
+        llc = weakref.proxy(self)
+        st = self.stats
+        state = self._state
+        addr_col = self._addr
+        core_col = self._core
+        sdid_col = self._sdid
+        reused_col = self._reused
+        where = self._where
+        where_get = where.get
+        rand = self._randomizer
+        memo = rand._memo
+        memo_pop = memo.pop
+        precomputed_get = rand._precomputed.get
+        raw_indices = rand._raw_indices
+        memo_capacity = rand._memo_capacity
+        # randrange(n) is a thin wrapper over _randbelow(n): the same
+        # draw from the same stream, minus the wrapper cost.
+        randbelow = self._rng._randbelow
+        skews = self.skews
+        sets = self.sets_per_skew
+        ways = self.ways_per_skew
+        use_sdid = self.use_sdid_in_hash
+        remap_period = self.remap_period
+
+        def access_fast(line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
+            """One access; returns ``ACC_*`` flags (see ``_build_step``)."""
+            hsd = sdid if use_sdid else 0
+            key = (line_addr << 16) | hsd
+            slot = where_get(key)
+            st.accesses += 1
+            if slot is not None:
+                st.hits += 1
+                if is_writeback:
+                    st.writebacks_received += 1
+                    state[slot] = _MODIFIED
+                else:
+                    st.demand_accesses += 1
+                    st.demand_hits += 1
+                    reused_col[slot] = 1
+                    if is_write:
+                        state[slot] = _MODIFIED
+                return ACC_HIT
+            st.misses += 1
+            if is_writeback:
+                st.writebacks_received += 1
+            else:
+                st.demand_accesses += 1
+                pcm = st.per_core_misses
+                pcm[core_id] = pcm.get(core_id, 0) + 1
+            # IndexRandomizer._lookup inline (same memo LRU discipline
+            # and counters as the Maya and Mirage steps).
+            mkey = (line_addr, hsd)
+            indices = memo_pop(mkey, None)
+            if indices is None:
+                rand.cache_misses += 1
+                indices = precomputed_get(mkey)
+                if indices is None:
+                    indices = raw_indices(line_addr, hsd)
+                if len(memo) >= memo_capacity:
+                    del memo[next(iter(memo))]
+            else:
+                rand.cache_hits += 1
+            memo[mkey] = indices
+            skew = randbelow(skews)
+            base = (skew * sets + indices[skew]) * ways
+            slot = state.find(_INVALID, base, base + ways)
+            flags = 0
+            if slot < 0:
+                slot = base + randbelow(ways)
+                vstate = state[slot]
+                vaddr = addr_col[slot]
+                vcore = core_col[slot]
+                vsd = sdid_col[slot]
+                vreused = reused_col[slot]
+                llc.victim_addr = vaddr
+                llc.victim_core = vcore
+                llc.victim_sdid = vsd
+                llc.victim_reused = True if vreused else False
+                st.evictions += 1
+                if vstate >= _DIRTY_MIN:
+                    st.dirty_evictions += 1
+                    flags = ACC_EVICTED | ACC_EVICTED_DIRTY
+                else:
+                    flags = ACC_EVICTED
+                if not vreused:
+                    st.dead_evictions += 1
+                if vcore >= 0 and core_id >= 0 and vcore != core_id:
+                    st.interference_evictions += 1
+                del where[(vaddr << 16) | (vsd if use_sdid else 0)]
+            state[slot] = _MODIFIED if is_write or is_writeback else _EXCLUSIVE
+            addr_col[slot] = line_addr
+            core_col[slot] = core_id
+            sdid_col[slot] = sdid
+            reused_col[slot] = 0
+            where[key] = slot
+            st.fills += 1
+            st.data_fills += 1
+            if remap_period is not None:
+                llc._fills_since_remap = fills = llc._fills_since_remap + 1
+                if fills >= remap_period:
+                    llc.remap()
+            return flags
+
+        return access_fast
+
     def access(
         self,
         line_addr: int,
@@ -84,64 +244,31 @@ class SkewedRandomizedCache(LLCache):
         is_writeback: bool = False,
         sdid: int = 0,
     ) -> AccessResult:
-        key = (line_addr, sdid if self.use_sdid_in_hash else 0)
-        loc = self._where.get(key)
-        hit = loc is not None
-        self.stats.record_access(hit, is_writeback, core_id)
-        if hit:
-            skew, set_idx, way = loc
-            line = self._arrays[skew][set_idx][way]
-            if not is_writeback:
-                line.reused = True
-            if is_write or is_writeback:
-                line.state = line.state.on_write()
-            return AccessResult(hit=True, extra_latency=self.extra_lookup_latency)
-
-        evicted = self._fill(line_addr, sdid, core_id, dirty=is_write or is_writeback)
-        self._fills_since_remap += 1
-        if self.remap_period is not None and self._fills_since_remap >= self.remap_period:
-            self.remap()
-        return AccessResult(hit=False, evicted=evicted, extra_latency=self.extra_lookup_latency)
-
-    def _fill(self, line_addr: int, sdid: int, core_id: int, dirty: bool) -> Optional[EvictedLine]:
-        hash_sdid = self._hash_sdid(sdid)
-        indices = self._randomizer.all_indices(line_addr, hash_sdid)
-        skew = self._rng.randrange(self.skews)
-        set_idx = indices[skew]
-        cache_set = self._arrays[skew][set_idx]
-        way = next((w for w, ln in enumerate(cache_set) if not ln.valid), None)
-        evicted = None
-        if way is None:
-            way = self._rng.randrange(self.ways_per_skew)
-            evicted = self._evict(skew, set_idx, way, filler_core=core_id)
-        line = cache_set[way]
-        line.line_addr = line_addr
-        line.state = CoherenceState.MODIFIED if dirty else CoherenceState.EXCLUSIVE
-        line.core_id = core_id
-        line.sdid = sdid
-        line.reused = False
-        self._where[(line_addr, hash_sdid)] = (skew, set_idx, way)
-        self.stats.fills += 1
-        self.stats.data_fills += 1
-        return evicted
-
-    def _evict(self, skew: int, set_idx: int, way: int, filler_core: int) -> EvictedLine:
-        line = self._arrays[skew][set_idx][way]
-        evicted = EvictedLine(
-            line_addr=line.line_addr,
-            dirty=line.dirty,
-            core_id=line.core_id,
-            sdid=line.sdid,
-            was_reused=line.reused,
+        return access_result(
+            self,
+            self.access_fast(line_addr, is_write, core_id, is_writeback, sdid),
+            self.extra_lookup_latency,
         )
+
+    def _evict(self, slot: int, filler_core: int) -> EvictedLine:
+        """Drop the valid line in ``slot`` (maintenance path); the
+        ``victim_*`` fields keep the last access's victim."""
+        state = self._state
+        dirty = state[slot] >= _DIRTY_MIN
+        addr = self._addr[slot]
+        core = self._core[slot]
+        sdid = self._sdid[slot]
+        reused = bool(self._reused[slot])
         self.stats.record_eviction(
-            dirty=line.dirty,
-            was_reused=line.reused,
-            cross_core=line.core_id >= 0 and filler_core >= 0 and line.core_id != filler_core,
+            dirty=dirty,
+            was_reused=reused,
+            cross_core=core >= 0 and filler_core >= 0 and core != filler_core,
         )
-        del self._where[(line.line_addr, self._hash_sdid(line.sdid))]
-        line.invalidate()
-        return evicted
+        del self._where[(addr << _SDID_SHIFT) | self._hash_sdid(sdid)]
+        state[slot] = _INVALID
+        return EvictedLine(
+            line_addr=addr, dirty=dirty, core_id=core, sdid=sdid, was_reused=reused
+        )
 
     def remap(self) -> None:
         """Re-key both skews (epoch model: flush + new keys)."""
@@ -155,20 +282,21 @@ class SkewedRandomizedCache(LLCache):
         self.remap()
 
     def invalidate(self, line_addr: int, sdid: int = 0) -> Optional[EvictedLine]:
-        loc = self._where.get((line_addr, self._hash_sdid(sdid)))
-        if loc is None:
+        slot = self._where.get((line_addr << _SDID_SHIFT) | self._hash_sdid(sdid))
+        if slot is None:
             return None
-        return self._evict(*loc, filler_core=-1)
+        return self._evict(slot, filler_core=-1)
 
     def flush_all(self) -> int:
-        count = 0
-        for loc in list(self._where.values()):
-            self._evict(*loc, filler_core=-1)
-            count += 1
-        return count
+        # Insertion order of the location map, as the reference model.
+        slots = list(self._where.values())
+        for slot in slots:
+            self._evict(slot, filler_core=-1)
+        return len(slots)
 
     def contains(self, line_addr: int, sdid: int = 0) -> bool:
-        return (line_addr, self._hash_sdid(sdid)) in self._where
+        key = (line_addr << _SDID_SHIFT) | (sdid if self.use_sdid_in_hash else 0)
+        return key in self._where
 
     @property
     def occupancy(self) -> int:
@@ -176,9 +304,9 @@ class SkewedRandomizedCache(LLCache):
 
     def occupancy_by_core(self) -> Dict[int, int]:
         counts: Dict[int, int] = {}
-        for skew, set_idx, way in self._where.values():
-            line = self._arrays[skew][set_idx][way]
-            counts[line.core_id] = counts.get(line.core_id, 0) + 1
+        core = self._core
+        for slot in self._where.values():
+            counts[core[slot]] = counts.get(core[slot], 0) + 1
         return counts
 
     def mapped_sets(self, line_addr: int, sdid: int = 0):

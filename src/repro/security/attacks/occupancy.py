@@ -81,30 +81,34 @@ class OccupancyAttacker:
         reuse-filtered designs, then repair passes re-install lines the
         priming itself churned out.
         """
-        access = self.llc.access
-        for start in range(0, len(self._lines), self.PRIME_BLOCK):
-            block = self._lines[start : start + self.PRIME_BLOCK]
+        access = self.llc.access_fast
+        contains = self.llc.contains
+        lines = self._lines
+        for start in range(0, len(lines), self.PRIME_BLOCK):
+            block = lines[start : start + self.PRIME_BLOCK]
             for line in block:
-                access(line, core_id=0, sdid=ATTACKER_SDID)
+                access(line, False, 0, False, ATTACKER_SDID)
             for line in block:
-                access(line, core_id=0, sdid=ATTACKER_SDID)
+                access(line, False, 0, False, ATTACKER_SDID)
         for _ in range(self.PRIME_REPAIR_PASSES):
-            missing = [l for l in self._lines if not self.llc.contains(l, sdid=ATTACKER_SDID)]
+            missing = [l for l in lines if not contains(l, ATTACKER_SDID)]
             if not missing:
                 break
             for line in missing:
-                access(line, core_id=0, sdid=ATTACKER_SDID)
-                access(line, core_id=0, sdid=ATTACKER_SDID)
+                access(line, False, 0, False, ATTACKER_SDID)
+                access(line, False, 0, False, ATTACKER_SDID)
 
     def probe(self) -> int:
         """Count attacker lines evicted since priming (the occupancy signal)."""
-        return sum(1 for line in self._lines if not self.llc.contains(line, sdid=ATTACKER_SDID))
+        contains = self.llc.contains
+        return sum(1 for line in self._lines if not contains(line, ATTACKER_SDID))
 
     def measure_once(self, victim_accesses: List[int]) -> int:
         """One sample: prime, run the victim's accesses, probe."""
         self.prime()
+        access = self.llc.access_fast
         for line in victim_accesses:
-            self.llc.access(line, core_id=1, sdid=VICTIM_SDID)
+            access(line, False, 1, False, VICTIM_SDID)
         return self.probe()
 
 

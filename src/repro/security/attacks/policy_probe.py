@@ -56,13 +56,14 @@ class PolicyProbeResult:
 
 def _warm(llc, fillers: List[int]) -> int:
     """Fill the cache with filler lines; returns accesses issued."""
+    access = llc.access_fast
     accesses = 0
     for start in range(0, len(fillers), _WARM_BLOCK):
         block = fillers[start : start + _WARM_BLOCK]
         for line in block:
-            llc.access(line, core_id=2, sdid=ATTACKER_SDID)
+            access(line, False, 2, False, ATTACKER_SDID)
         for line in block:
-            llc.access(line, core_id=2, sdid=ATTACKER_SDID)
+            access(line, False, 2, False, ATTACKER_SDID)
         accesses += 2 * len(block)
     return accesses
 

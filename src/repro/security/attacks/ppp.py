@@ -26,7 +26,7 @@ wall-clock, so campaign scorecards are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ...common.rng import derive_seed, make_rng
 from ...llc.interface import attack_capacity, design_rekey
@@ -59,21 +59,35 @@ class _Attacker:
 
     def __init__(self, llc):
         self.llc = llc
+        self._access = llc.access_fast
+        self._contains = llc.contains
         self.accesses = 0
         self.probes = 0
 
-    def load(self, line: int, sdid: int = ATTACKER_SDID) -> None:
-        self.llc.access(line, core_id=0, sdid=sdid)
-        self.accesses += 1
+    def load_all(self, lines: List[int], sdid: int = ATTACKER_SDID) -> None:
+        """One load per line, in order."""
+        access = self._access
+        for line in lines:
+            access(line, False, 0, False, sdid)
+        self.accesses += len(lines)
 
     def install(self, line: int, sdid: int) -> None:
         """Double-touch install so reuse-filtered designs allocate data."""
-        self.load(line, sdid)
-        self.load(line, sdid)
+        self.load_all((line, line), sdid)
 
     def probe(self, line: int, sdid: int = ATTACKER_SDID) -> bool:
         self.probes += 1
-        return self.llc.contains(line, sdid=sdid)
+        return self._contains(line, sdid)
+
+    def split(self, lines: List[int]) -> Tuple[List[int], List[int]]:
+        """Probe every line; returns ``(resident, evicted)``, in order."""
+        contains = self._contains
+        resident: List[int] = []
+        evicted: List[int] = []
+        for line in lines:
+            (resident if contains(line, ATTACKER_SDID) else evicted).append(line)
+        self.probes += len(lines)
+        return resident, evicted
 
 
 def prime_prune_probe(
@@ -115,23 +129,20 @@ def prime_prune_probe(
         llc.flush_all()
         batch = [_ATTACKER_BASE + rng.randrange(1 << 24) for _ in range(batch_size)]
         # Prime: double-touch sweeps so reuse-filtered designs allocate.
-        for line in batch:
-            attacker.load(line)
-        for line in batch:
-            attacker.load(line)
+        attacker.load_all(batch)
+        attacker.load_all(batch)
         # Prune until the survivors are simultaneously resident.
         survivors = batch
         for _ in range(prune_rounds):
             prune_passes += 1
-            resident = [line for line in survivors if attacker.probe(line)]
+            resident, _ = attacker.split(survivors)
             if len(resident) == len(survivors):
                 break
             survivors = resident
-            for line in survivors:
-                attacker.load(line)
+            attacker.load_all(survivors)
         # Probe: one victim install, then catch what it displaced.
         attacker.install(victim, VICTIM_SDID)
-        caught = [line for line in survivors if not attacker.probe(line)]
+        _, caught = attacker.split(survivors)
         for line in caught:
             if line not in members:
                 members.add(line)

@@ -50,6 +50,10 @@ class RecordingLLC:
             line_addr, is_write=is_write, core_id=core_id, is_writeback=is_writeback, sdid=sdid
         )
 
+    def access_fast(self, line_addr, is_write=False, core_id=0, is_writeback=False, sdid=0):
+        self.ops.append(("access", line_addr, is_write, core_id, is_writeback, sdid))
+        return self._llc.access_fast(line_addr, is_write, core_id, is_writeback, sdid)
+
     def invalidate(self, line_addr, sdid=0):
         self.ops.append(("invalidate", line_addr, sdid))
         return self._llc.invalidate(line_addr, sdid=sdid)

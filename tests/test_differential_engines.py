@@ -1,7 +1,8 @@
 """Differential tests: packed SoA engines vs the object-model reference.
 
 The packed struct-of-arrays engines (``repro.cache.set_assoc``,
-``repro.core.maya_cache``, ``repro.llc.mirage``) must be *behaviourally
+``repro.core.maya_cache``, ``repro.llc.mirage``, ``repro.llc.ceaser``,
+``repro.llc.skewed``, ``repro.llc.fully_assoc``) must be *behaviourally
 indistinguishable* from the retained object-model implementations in
 ``repro.reference``: same seed + same access stream => identical
 per-access results, bit-identical statistics, identical occupancy, and
@@ -22,12 +23,18 @@ import pytest
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig
 from repro.core.maya_cache import MayaCache
+from repro.llc.ceaser import CeaserCache
+from repro.llc.fully_assoc import FullyAssociativeCache
 from repro.llc.interface import supports_rekey
 from repro.llc.mirage import MirageCache
+from repro.llc.skewed import SkewedRandomizedCache
 from repro.reference import (
+    ReferenceCeaserCache,
+    ReferenceFullyAssociativeCache,
     ReferenceMayaCache,
     ReferenceMirageCache,
     ReferenceSetAssociativeCache,
+    ReferenceSkewedRandomizedCache,
 )
 
 
@@ -255,6 +262,118 @@ class TestSetAssocDifferential:
         assert packed.flush_all() == reference.flush_all()
         assert packed.occupancy == 0
         drive_pair(packed, reference, ops[1000:], sdid_aware=False)
+
+
+# -- CEASER, CEASER-S / Scatter, fully associative --------------------------
+
+RANDOMIZED_GEOMETRY = CacheGeometry(sets=16, ways=8)
+
+
+def _ceaser(cls, algorithm="splitmix", remap_period=37):
+    return lambda seed: cls(
+        RANDOMIZED_GEOMETRY, remap_period=remap_period, seed=seed, hash_algorithm=algorithm
+    )
+
+
+def _skewed(cls, use_sdid_in_hash, remap_period):
+    return lambda seed: cls(
+        RANDOMIZED_GEOMETRY,
+        use_sdid_in_hash=use_sdid_in_hash,
+        remap_period=remap_period,
+        seed=seed,
+        hash_algorithm="splitmix",
+    )
+
+
+#: name -> (packed builder, reference builder), each ``f(seed)``.  Small
+#: remap periods put epoch remaps (flush + rekey) inside the streams.
+RANDOMIZED_DESIGNS = {
+    "ceaser": (_ceaser(CeaserCache), _ceaser(ReferenceCeaserCache)),
+    "ceaser_prince": (
+        _ceaser(CeaserCache, "prince", 53),
+        _ceaser(ReferenceCeaserCache, "prince", 53),
+    ),
+    "ceaser_s": (
+        _skewed(SkewedRandomizedCache, False, 41),
+        _skewed(ReferenceSkewedRandomizedCache, False, 41),
+    ),
+    "scatter": (
+        _skewed(SkewedRandomizedCache, True, None),
+        _skewed(ReferenceSkewedRandomizedCache, True, None),
+    ),
+    "scatter_remap": (
+        _skewed(SkewedRandomizedCache, True, 29),
+        _skewed(ReferenceSkewedRandomizedCache, True, 29),
+    ),
+    "fully_assoc": (
+        lambda seed: FullyAssociativeCache(96, seed=seed),
+        lambda seed: ReferenceFullyAssociativeCache(96, seed=seed),
+    ),
+}
+
+
+def random_ops(seed, length=2500, addr_space=600, cores=3, sdids=3):
+    """A seeded op sequence in the ``replay_pair`` format.
+
+    Read, write and writeback accesses over a hot/cold address mix on
+    several cores and SDIDs, salted with ``invalidate`` (often of a
+    recently touched line), ``flush`` and ``rekey``.
+    """
+    rng = random.Random(seed)
+    hot = [rng.randrange(addr_space) for _ in range(48)]
+    recent = []
+    ops = []
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.002:
+            ops.append(("flush",))
+        elif roll < 0.005:
+            ops.append(("rekey",))
+        elif roll < 0.06 and recent:
+            ops.append(("invalidate",) + rng.choice(recent))
+        else:
+            addr = rng.choice(hot) if rng.random() < 0.5 else rng.randrange(addr_space)
+            sdid = rng.randrange(sdids)
+            kind = rng.random()
+            ops.append(
+                ("access", addr, kind < 0.2, rng.randrange(cores), 0.2 <= kind < 0.3, sdid)
+            )
+            recent = (recent + [(addr, sdid)])[-16:]
+    return ops
+
+
+def assert_probe_equal(packed, reference, ops, sdids=3):
+    """Residency, per-core occupancy, stats and remaps must agree."""
+    for op in ops:
+        if op[0] == "access":
+            for sdid in range(sdids):
+                assert packed.contains(op[1], sdid=sdid) == reference.contains(op[1], sdid=sdid)
+    assert_state_equal(packed, reference)
+    assert getattr(packed, "remaps", None) == getattr(reference, "remaps", None)
+
+
+class TestRandomizedStepDifferential:
+    """CEASER, CEASER-S, Scatter and the fully-associative cache: the
+    packed ``access_fast`` step against the object model, op by op."""
+
+    @pytest.mark.parametrize("design", list(RANDOMIZED_DESIGNS))
+    @pytest.mark.parametrize("seed", [3, 17, 101])
+    def test_random_op_sequence_bit_identical(self, design, seed):
+        make_packed, make_reference = RANDOMIZED_DESIGNS[design]
+        packed, reference = make_packed(seed), make_reference(seed)
+        ops = random_ops(seed * 7 + len(design))
+        for start in range(0, len(ops), 250):
+            chunk = ops[start : start + 250]
+            replay_pair(packed, reference, chunk)
+            assert_probe_equal(packed, reference, chunk)
+        assert any(op[0] == "invalidate" for op in ops)
+        assert packed.stats.evictions > 0
+        assert packed.stats.dirty_evictions > 0
+        if design.endswith("remap") or design.startswith("ceaser"):
+            assert packed.remaps > 0
+        randomizer = getattr(packed, "index_randomizer", None)
+        if randomizer is not None:
+            assert randomizer.cache_info() == reference.index_randomizer.cache_info()
 
 
 # -- adversarial traffic (attack streams as engine fuzzers) ----------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.opt import opt_hit_rate, policy_gap_report, set_associative_opt_hit_rate
 from repro.cache.replacement import DRRIPPolicy, make_policy
 from repro.cache.set_assoc import SetAssociativeCache
-from repro.common.config import CacheGeometry, DramConfig, MayaConfig
+from repro.common.config import CacheGeometry, DramConfig, MayaConfig, SystemConfig
 from repro.common.errors import TraceError
 from repro.core import MayaCache
 from repro.harness.statistics import SeedStudy, across_seeds
@@ -165,6 +165,49 @@ class TestDramBandwidth:
         dram.access(0, now=0.0)
         lat = dram.access(0, now=1000.0)  # long idle gap, same row
         assert lat == dram.config.row_hit_cycles
+
+    def test_reset_stats_restarts_the_channel_at_zero(self):
+        dram = DramModel(DramConfig(service_cycles=10))
+        for i in range(100):
+            dram.access(i, now=1_000_000.0)  # busy until ~1M cycles
+        dram.reset_stats()
+        assert dram.access(0, now=0.0) == dram.config.row_hit_cycles  # row stays open
+        assert dram.queue_cycles == 0
+
+    def test_measured_window_does_not_queue_behind_warmup(self, monkeypatch):
+        # run_mix restarts every core clock at 0 after warm-up; the
+        # channel must restart with them.  Before the fix this probe
+        # measured 2.62M queue cycles and ~511k core cycles (133k with
+        # bandwidth unmodelled).
+        from repro.hierarchy import simulator
+        from repro.hierarchy.system import CacheHierarchy
+        from repro.trace import homogeneous
+
+        drams = []
+
+        def build(*args, **kwargs):
+            hierarchy = CacheHierarchy(*args, **kwargs)
+            drams.append(hierarchy.dram)
+            return hierarchy
+
+        monkeypatch.setattr(simulator, "CacheHierarchy", build)
+        system = SystemConfig(
+            cores=2,
+            l1d_geometry=CacheGeometry(sets=4, ways=4),
+            l2_geometry=CacheGeometry(sets=16, ways=8),
+            llc_geometry=CacheGeometry(sets=64, ways=16),
+        )
+        runs = {
+            bandwidth: simulator.run_mix(
+                BaselineLLC(system.llc_geometry), homogeneous("mcf", 2), system,
+                accesses_per_core=1500, warmup_accesses=4000, seed=11,
+                model_bandwidth=bandwidth, trace_cache=False,
+            )
+            for bandwidth in (False, True)
+        }
+        assert drams[-1].queue_cycles < 20_000
+        for free, bounded in zip(runs[False].cores, runs[True].cores):
+            assert free.cycles <= bounded.cycles < 1.05 * free.cycles
 
 
 class TestStatistics:

@@ -2,7 +2,8 @@
 
 ``run_mix`` replays the cached per-core op streams through the LLC's
 ``access_fast`` step (``VectorReplay.phase_scalar``) for every design
-that has one - baseline, Mirage and Maya alike, any skew policy.  The
+that has one - baseline, CEASER, CEASER-S/Scatter, the fully-associative
+cache, Mirage and Maya alike, any skew policy.  The
 oracle is the per-access drive (the ``per_access_drive`` fixture makes
 the replay decline): both must produce bit-identical raw
 ``CacheStats`` counters, per-core instruction and cycle counts, and
@@ -30,7 +31,10 @@ from repro.hierarchy.simulator import run_mix
 from repro.hierarchy.system import CacheHierarchy
 from repro.llc.baseline import BaselineLLC
 from repro.llc.ceaser import CeaserCache
+from repro.llc.fully_assoc import FullyAssociativeCache
 from repro.llc.mirage import MirageCache
+from repro.llc.partitioned import WayPartitionedLLC
+from repro.llc.skewed import SkewedRandomizedCache
 from repro.trace.compiled import trace_cache_info
 from repro.trace.mixes import Mix, homogeneous
 
@@ -62,6 +66,16 @@ RUN = dict(accesses_per_core=1500, warmup_accesses=500, seed=11, trace_cache=Fal
 def _mirage(algorithm="splitmix", skew_policy="load_aware", **kwargs):
     config = {**MIRAGE, "hash_algorithm": algorithm, **kwargs}
     return lambda: MirageCache(MirageConfig(**config), skew_policy=skew_policy)
+
+
+def _skewed(use_sdid_in_hash, remap_period, algorithm="splitmix"):
+    return lambda: SkewedRandomizedCache(
+        SYSTEM.llc_geometry,
+        use_sdid_in_hash=use_sdid_in_hash,
+        remap_period=remap_period,
+        seed=3,
+        hash_algorithm=algorithm,
+    )
 
 
 def _maya(algorithm="splitmix", on_sae="count", global_tag_eviction=True,
@@ -159,6 +173,35 @@ class TestReplayDifferential:
         assert_replayed(fast[1])
         assert ref[0].stats.saes > 0
         assert_bit_identical(ref, fast)
+
+    # -- CEASER, CEASER-S / Scatter and the fully-associative cache:
+    # small remap periods put epoch remaps (flush + rekey) mid-replay.
+
+    @pytest.mark.parametrize("mix", [homogeneous("mcf", 2), HETERO], ids=["mcf", "mcf-lbm"])
+    @pytest.mark.parametrize(
+        "make_llc,remaps",
+        [
+            (lambda: CeaserCache(SYSTEM.llc_geometry, remap_period=10**9, seed=3), False),
+            (
+                lambda: CeaserCache(
+                    SYSTEM.llc_geometry, remap_period=700, seed=3, hash_algorithm="splitmix"
+                ),
+                True,
+            ),
+            (_skewed(use_sdid_in_hash=False, remap_period=900), True),
+            (_skewed(use_sdid_in_hash=True, remap_period=None), False),
+            (_skewed(use_sdid_in_hash=True, remap_period=None, algorithm="prince"), False),
+            (lambda: FullyAssociativeCache(SYSTEM.llc_geometry.lines, seed=3), False),
+        ],
+        ids=["ceaser", "ceaser-remap", "ceaser_s", "scatter", "scatter-prince", "fully_assoc"],
+    )
+    def test_randomized_designs(self, run_both, make_llc, remaps, mix):
+        ref, fast = run_both(make_llc, mix)
+        assert_replayed(fast[1])
+        assert ref[0].stats.evictions > 0
+        assert_bit_identical(ref, fast)
+        assert getattr(fast[0], "remaps", 0) == getattr(ref[0], "remaps", 0)
+        assert (getattr(ref[0], "remaps", 0) > 0) == remaps
 
     @pytest.mark.parametrize(
         "make_llc",
@@ -345,11 +388,13 @@ class TestReplayGates:
         assert_bit_identical(ref, fast)
 
     def test_llc_without_access_fast_step(self, run_both):
-        # CEASER's step sits on its inner array; the LLC object itself
-        # has no packed step to replay through.
-        make = lambda: CeaserCache(SYSTEM.llc_geometry, seed=3)  # noqa: E731
+        # A partitioned design routes each access to a per-domain slice
+        # and has no packed step of its own to replay through.
+        make = lambda: WayPartitionedLLC(SYSTEM.llc_geometry, domains=2, seed=3)  # noqa: E731
         ref, fast = run_both(make, homogeneous("mcf", 2))
-        self._assert_fell_back(fast[1], "CeaserCache has no access_fast step")
+        info = fast[1].specialize_info
+        assert info["llc"] is None
+        assert info["llc_reason"] == "WayPartitionedLLC has no access_fast step"
         assert fast[1].engine_info is None
         assert ref[0].stats.evictions > 0
         assert_bit_identical(ref, fast)

@@ -1,15 +1,16 @@
 """Seeded fuzz differential: each design's ``access_fast`` step vs its
 ``repro.reference`` twin.
 
-Maya, Mirage and the set-associative cache each run one hand-written
-step (built at construction and bound as ``access_fast``; the public
-``access()`` calls it).  The contract is *bit-identity* with the
+Maya, Mirage, the set-associative cache, CEASER, CEASER-S/Scatter and
+the fully-associative cache each run one hand-written step (built at
+construction and bound as ``access_fast``; the public ``access()``
+calls it).  The contract is *bit-identity* with the
 object-model reference: for any access stream, the same per-access
 results, victim lines, :class:`~repro.cache.stats.CacheStats` and
 occupancy - including across mid-stream ``rekey()`` / ``flush_all()``
 (which mutate the step's bound columns in place) and SAE storms (which
-route through the rare-path methods).  The wrapper designs (baseline,
-CEASER) compare against the same wrapper over a
+route through the rare-path methods).  The baseline wrapper compares
+against the same wrapper over a
 :class:`~repro.reference.ReferenceSetAssociativeCache` inner array.
 
 The lockstep harness is ``replay_pair`` from
@@ -24,15 +25,19 @@ import random
 import pytest
 
 from repro.common.config import CacheGeometry, MayaConfig, MirageConfig
-from repro.common.rng import derive_seed
 from repro.core.maya_cache import MayaCache
 from repro.llc.baseline import BaselineLLC
 from repro.llc.ceaser import CeaserCache
+from repro.llc.fully_assoc import FullyAssociativeCache
 from repro.llc.mirage import MirageCache
+from repro.llc.skewed import SkewedRandomizedCache
 from repro.reference import (
+    ReferenceCeaserCache,
+    ReferenceFullyAssociativeCache,
     ReferenceMayaCache,
     ReferenceMirageCache,
     ReferenceSetAssociativeCache,
+    ReferenceSkewedRandomizedCache,
 )
 
 from .test_differential_engines import replay_pair
@@ -59,10 +64,27 @@ def _baseline(seed, policy, reference):
 
 
 def _ceaser(seed, policy, reference):
-    llc = CeaserCache(
-        GEOMETRY, remap_period=900, seed=seed, hash_algorithm="splitmix", policy=policy
-    )
-    return _reference_inner(llc, policy, derive_seed(seed, 12)) if reference else llc
+    cls = ReferenceCeaserCache if reference else CeaserCache
+    return cls(GEOMETRY, remap_period=900, seed=seed, hash_algorithm="splitmix", policy=policy)
+
+
+def _skewed(use_sdid_in_hash, remap_period):
+    def build(seed, policy, reference):
+        cls = ReferenceSkewedRandomizedCache if reference else SkewedRandomizedCache
+        return cls(
+            GEOMETRY,
+            use_sdid_in_hash=use_sdid_in_hash,
+            remap_period=remap_period,
+            seed=seed,
+            hash_algorithm="splitmix",
+        )
+
+    return build
+
+
+def _fully_assoc(seed, policy, reference):
+    cls = ReferenceFullyAssociativeCache if reference else FullyAssociativeCache
+    return cls(GEOMETRY.lines // 2, seed=seed)
 
 
 def _maya(skews=2, **kwargs):
@@ -85,6 +107,9 @@ def _mirage(skews=2, **kwargs):
 DESIGNS = {
     "baseline": _baseline,
     "ceaser": _ceaser,
+    "ceaser_s": _skewed(False, 700),
+    "scatter": _skewed(True, None),
+    "fully_assoc": _fully_assoc,
     "mirage": _mirage(),
     "mirage_random": _mirage(skew_policy="random"),
     "mirage_3skews": _mirage(skews=3),
@@ -100,6 +125,9 @@ COMBOS = (
     [("baseline", p) for p in ("lru", "random", "srrip", "brrip", "drrip")]
     + [("ceaser", p) for p in ("lru", "random", "srrip")]
     + [
+        ("ceaser_s", None),
+        ("scatter", None),
+        ("fully_assoc", None),
         ("mirage", None),
         ("mirage_random", None),
         ("mirage_3skews", None),

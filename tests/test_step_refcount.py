@@ -18,11 +18,25 @@ from repro.common.config import MayaConfig, MirageConfig
 from repro.core.maya_cache import MayaCache
 from repro.hierarchy.simulator import run_mix
 from repro.llc.baseline import BaselineLLC
+from repro.llc.ceaser import CeaserCache
+from repro.llc.fully_assoc import FullyAssociativeCache
 from repro.llc.mirage import MirageCache
+from repro.llc.skewed import SkewedRandomizedCache
 from repro.trace.mixes import homogeneous
 
 BUILDERS = {
     "baseline": lambda system: BaselineLLC(system.llc_geometry, seed=3),
+    "ceaser": lambda system: CeaserCache(
+        system.llc_geometry, remap_period=500, seed=3, hash_algorithm="splitmix"
+    ),
+    "ceaser_s": lambda system: SkewedRandomizedCache(
+        system.llc_geometry, use_sdid_in_hash=False, remap_period=500, seed=3,
+        hash_algorithm="splitmix",
+    ),
+    "scatter": lambda system: SkewedRandomizedCache(
+        system.llc_geometry, seed=3, hash_algorithm="splitmix"
+    ),
+    "fully_assoc": lambda system: FullyAssociativeCache(system.llc_geometry.lines, seed=3),
     "mirage": lambda system: MirageCache(
         MirageConfig(sets_per_skew=16, rng_seed=7, hash_algorithm="splitmix")
     ),
